@@ -2,11 +2,11 @@
 branching processes in iid random environments.
 
 The package estimates limiting survival probabilities three independent
-ways (generating-function composition, closed-form compositions for
-linear-fractional laws, and agent-level population simulation), verifies
-the shape-function representation of conditional survival path by path,
-and simulates the associated random discounted series together with their
-degenerate and inverse-gamma limit laws.
+ways (generating-function composition, the annuity-sum form of the
+survival identity for linear-fractional laws, and agent-level population
+simulation), verifies the shape-function representation of conditional
+survival path by path, and simulates the associated random discounted
+series together with their degenerate and inverse-gamma limit laws.
 
 Quick start::
 
@@ -73,8 +73,6 @@ from .perpetuity import (
 )
 from .survival import (
     EnvPath,
-    PopulationRun,
-    ResourceOverrunError,
     SurvivalIdentity,
     SweepRow,
     backward_extinction,
@@ -85,7 +83,6 @@ from .survival import (
     lf_exact_extinction,
     sample_env_path,
     simulate_population,
-    simulate_population_run,
     survival_identity,
 )
 

@@ -6,18 +6,21 @@ so results are reproducible bit-for-bit for a given ``(seed, n_reps)`` no
 matter how batches are scheduled.  Aggregation happens in
 :func:`haldane.numerics.combine_batch_stats`, which is order-insensitive.
 
-Three generating-function routes exist:
+Four generating-function routes exist:
 
 * a scalar fixed-point iteration when the environment is degenerate
   (every path is identical, so one iteration settles all replicates);
-* a closed-form Moebius product for linear-fractional families, updated
-  in survival coordinates where all matrix entries stay nonnegative;
+* for linear-fractional families, the reciprocal-survival identity as an
+  annuity sum, one running sum and one discount per lane;
 * a block-doubling backward recursion for other families under two-point
   noise, replaying stored environment bits at geometrically spaced
-  checkpoint horizons.
+  checkpoint horizons;
+* a per-replicate Python fallback for the remaining (small-scale)
+  combinations.
 
-A per-replicate Python fallback covers the remaining (small-scale)
-combinations.
+The benchmark's tracer (``perfbench/tracing.py``) wraps these kernels by
+name and reads their arguments by position, so renaming one or changing
+its call shape needs the tracer changed with it.
 """
 
 from __future__ import annotations
@@ -75,7 +78,7 @@ def gf_deterministic(law: OffspringLaw, tol_q: float, tol_mu: float, n_max: int)
 
 
 # ---------------------------------------------------------------------------
-# Linear-fractional families: exact Moebius products
+# Linear-fractional families: the survival identity as an annuity sum
 # ---------------------------------------------------------------------------
 
 def gf_lf_batch(
@@ -89,23 +92,21 @@ def gf_lf_batch(
 ):
     """Survival per replicate for a linear-fractional family batch.
 
-    The one-step survival map of a linear-fractional law is the Moebius map
-    r -> ((1-p0) r) / (p r + (1-p)); composing generations multiplies the
-    associated nonnegative matrices, so the conditional survival at every
-    horizon is available in O(1) per generation without storing the path.
+    A linear-fractional law of mean m has the constant shape function
+    psi = 1/(1-p0) - 1/m, so the reciprocal-survival identity
+        1/r_n = 1/mu_n + sum_{k<n} psi_{k+1}/mu_k
+              = 1/mu_n + S_n/(1-p0) - (S_n - 1 + 1/mu_n) = 1 + kappa*S_n
+    with S_n = sum_{k<n} 1/mu_k and kappa = p0/(1-p0).  Each lane carries
+    the running sum S and the discount C = 1/mu, and needs no path storage.
 
     Returns (survival values, flagged mask) as arrays of length n_lanes.
     """
     stream = rng_stream(seed, stream_id)
     p0 = model.family.p0
-    log_tol_mu = -math.log(tol_mu)
+    kappa = p0 / (1.0 - p0)
 
-    # survival-form Moebius accumulator, initialized to the identity
-    a = np.ones(n_lanes)
-    b = np.zeros(n_lanes)
-    c = np.zeros(n_lanes)
-    d = np.ones(n_lanes)
-    log_mu = np.zeros(n_lanes)
+    total = np.zeros(n_lanes)     # S_n
+    discount = np.ones(n_lanes)   # 1/mu_n
     prev_r = np.ones(n_lanes)
     idx = np.arange(n_lanes)
 
@@ -113,27 +114,15 @@ def gf_lf_batch(
     flagged = np.zeros(n_lanes, dtype=bool)
 
     for _ in range(n_max):
-        m = np.asarray(model.sample_means(stream, size=idx.size))
-        p = 1.0 - (1.0 - p0) / m
-        one_minus_p = 1.0 - p
-        # right-multiply by [[1-p0, 0], [p, 1-p]] (append a generation)
-        a, b = a * (1.0 - p0) + b * p, b * one_minus_p
-        c, d = c * (1.0 - p0) + d * p, d * one_minus_p
-        scale = np.maximum(np.maximum(a, b), np.maximum(c, d))
-        a /= scale
-        b /= scale
-        c /= scale
-        d /= scale
-        log_mu += np.log(m)
-
-        r = (a + b) / (c + d)
-        inc = prev_r - r
-        done = (r < EXTINCTION_FLOOR) | ((inc < tol_q) & (log_mu > log_tol_mu))
+        m = model.sample_means(stream, size=idx.size)
+        total += discount
+        discount /= m
+        r = 1.0 / (1.0 + kappa * total)
+        done = (r < EXTINCTION_FLOOR) | ((prev_r - r < tol_q) & (discount < tol_mu))
         if np.any(done):
             values[idx[done]] = r[done]
             keep = ~done
-            a, b, c, d = a[keep], b[keep], c[keep], d[keep]
-            log_mu, idx = log_mu[keep], idx[keep]
+            total, discount, idx = total[keep], discount[keep], idx[keep]
             prev_r = r[keep]
             if idx.size == 0:
                 return values, flagged
@@ -274,7 +263,7 @@ def gf_scalar_path(model: EnvironmentModel, stream, tol_q: float, tol_mu: float,
     checkpoint = 256
     while True:
         target = min(checkpoint, n_max)
-        fresh = np.atleast_1d(model.sample_means(stream, size=target - n))
+        fresh = model.sample_means(stream, size=target - n)
         for m in fresh:
             means.append(float(m))
             laws.append(model.law_for_mean(float(m)))
@@ -382,7 +371,7 @@ def population_batch(
         if fixed_law is not None:
             m = None
         else:
-            m = np.asarray(model.sample_means(stream, size=rows))
+            m = model.sample_means(stream, size=rows)
 
         if kind == "poisson":
             lam = law.lam if fixed_law is not None else m

@@ -269,21 +269,15 @@ class EnvironmentModel:
 
     # -- sampling -----------------------------------------------------------
 
-    def sample_means(self, rng: RandomStream, size: int | None = None):
-        n = 1 if size is None else size
+    def sample_means(self, rng: RandomStream, size: int) -> np.ndarray:
         if self.nu == 0.0:
-            means = np.full(n, 1.0 + self.epsilon)
+            return np.full(size, 1.0 + self.epsilon)
+        u = rng.generator.random(size)
+        if self.noise == TWO_POINT:
+            zeta = np.where(u < 0.5, -1.0, 1.0)
         else:
-            u = rng.generator.random(n)
-            if self.noise == TWO_POINT:
-                zeta = np.where(u < 0.5, -1.0, 1.0)
-            else:
-                zeta = (2.0 * u - 1.0) * _SQRT3
-            means = 1.0 + self.epsilon + math.sqrt(self.nu) * zeta
-        return float(means[0]) if size is None else means
-
-    def sample_law(self, rng: RandomStream) -> OffspringLaw:
-        return self.law_for_mean(self.sample_means(rng))
+            zeta = (2.0 * u - 1.0) * _SQRT3
+        return 1.0 + self.epsilon + math.sqrt(self.nu) * zeta
 
     # -- exact moments of the law mean ---------------------------------------
 

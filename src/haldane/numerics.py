@@ -305,21 +305,23 @@ def summarize(samples, *, seed: int = 0, n_flagged: int = 0, n_overrun: int = 0)
 
 
 def combine_batch_stats(batches, *, seed: int, n_flagged: int = 0, n_overrun: int = 0) -> EstimateResult:
-    """Merge per-batch (count, sum, sum-of-squares) triples into an estimate.
+    """Merge per-batch (count, sum, M2) triples into an estimate.
 
-    Sums are combined with ``math.fsum`` so the result does not depend on
-    the order in which batches were produced.
+    ``M2`` is the batch's sum of squared deviations from its own mean; the
+    merge adds the between-batch term ``n_b (mean_b - mean)^2`` (Chan, Golub
+    and LeVeque), so the variance does not cancel when the spread is tiny
+    next to the mean.  Sums are combined with ``math.fsum`` so the result
+    does not depend on the order in which batches were produced.
     """
-    counts = [b[0] for b in batches]
-    n = int(sum(counts))
+    n = int(sum(b[0] for b in batches))
     if n < 1:
         raise ValueError("no samples")
-    total = math.fsum(b[1] for b in batches)
-    total_sq = math.fsum(b[2] for b in batches)
-    mean = total / n
+    mean = math.fsum(b[1] for b in batches) / n
     if n > 1:
-        var = max(0.0, (total_sq - n * mean * mean) / (n - 1))
-        se = math.sqrt(var / n)
+        m2 = math.fsum(b[2] for b in batches) + math.fsum(
+            count * (total / count - mean) ** 2 for count, total, _ in batches
+        )
+        se = math.sqrt(m2 / (n - 1) / n)
     else:
         se = 0.0
     return EstimateResult(

@@ -191,7 +191,7 @@ class PerpetuitySpec:
 
     def sample_pairs(self, rng: RandomStream, size: int) -> tuple[np.ndarray, np.ndarray]:
         if self.model is not None:
-            means = np.atleast_1d(self.model.sample_means(rng, size=size))
+            means = self.model.sample_means(rng, size=size)
             return _limit_shape_values(self.model, means), 1.0 / means
         return self.a_law.sample(rng, size), self.b_law.sample(rng, size)
 
@@ -292,34 +292,32 @@ def sample_series_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``n`` draws of the series by direct partial summation.
 
-    Running discount products are kept in log space; a lane stops once
-    C_k * sup(A) / (1 - exp(-theta)) < tol with theta the spec's
+    Each lane runs ``acc += C_k * A_{k+1}; C_{k+1} = C_k * B_{k+1}`` and
+    stops once C_k * sup(A) / (1 - exp(-theta)) < tol with theta the spec's
     contraction rate, so the discarded tail is below ``tol`` in
     expectation.  Lanes still live at ``k_max`` are flagged.
     """
-    regime = regime_of(spec)  # admissibility gate
-    del regime
+    regime_of(spec)  # admissibility gate
     _, theta = contraction_rate(spec)
     tail_scale = spec.a_upper() if math.isinf(theta) else spec.a_upper() / (-math.expm1(-theta))
-    log_tol = math.log(tol) - math.log(max(tail_scale, 1e-300))
+    c_tol = tol / max(tail_scale, 1e-300)
 
     values = np.zeros(n)
     flags = np.ones(n, dtype=bool)
     idx = np.arange(n)
-    log_c = np.zeros(n)
+    c = np.ones(n)
     acc = np.zeros(n)
 
     for _ in range(k_max):
         a, b = spec.sample_pairs(rng, idx.size)
-        acc += np.exp(log_c) * a
-        with np.errstate(divide="ignore"):
-            log_c = log_c + np.log(b)
-        done = log_c < log_tol
+        acc += c * a
+        c *= b
+        done = c < c_tol
         if np.any(done):
             values[idx[done]] = acc[done]
             flags[idx[done]] = False
             keep = ~done
-            idx, log_c, acc = idx[keep], log_c[keep], acc[keep]
+            idx, c, acc = idx[keep], c[keep], acc[keep]
             if idx.size == 0:
                 break
     if idx.size:

@@ -41,8 +41,6 @@ from .offspring import LinearFractional, OffspringLaw
 __all__ = [
     "EnvPath",
     "EstimateResult",
-    "PopulationRun",
-    "ResourceOverrunError",
     "SurvivalIdentity",
     "SweepRow",
     "backward_extinction",
@@ -53,13 +51,8 @@ __all__ = [
     "lf_exact_extinction",
     "sample_env_path",
     "simulate_population",
-    "simulate_population_run",
     "survival_identity",
 ]
-
-
-class ResourceOverrunError(RuntimeError):
-    """A population replicate exceeded its per-replicate work budget."""
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +91,7 @@ def sample_env_path(model: EnvironmentModel, n: int, rng: RandomStream) -> EnvPa
     """Draw n iid offspring laws from the model."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    means = np.atleast_1d(model.sample_means(rng, size=n))
+    means = model.sample_means(rng, size=n)
     cache: dict[float, OffspringLaw] = {}
     laws = []
     for m in means:
@@ -313,7 +306,8 @@ def estimate_survival_gf(
             ]
             values = np.array([v for v, _, _ in out])
             flagged = np.array([f for _, f, _ in out], dtype=bool)
-        batches.append((lanes, float(np.sum(values)), float(np.sum(values * values))))
+        total = float(np.sum(values))
+        batches.append((lanes, total, float(np.sum((values - total / lanes) ** 2))))
         n_flagged += int(np.count_nonzero(flagged))
         remaining -= lanes
         batch_index += 1
@@ -323,15 +317,6 @@ def estimate_survival_gf(
 # ---------------------------------------------------------------------------
 # Population simulation (validation oracle)
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PopulationRun:
-    """Trajectory summary of one agent-level replicate."""
-
-    generations: int
-    final_state: str  # "extinct" | "reached_cap"
-    cap: int
-
 
 def _population_cap(source, cap_multiplier: float) -> int:
     if isinstance(source, EnvironmentModel):
@@ -386,53 +371,12 @@ def simulate_population(
         survived, overrun = _engines.population_batch(
             model, fixed_law, lanes, seed, stream_base + batch_index, cap, max_individuals
         )
-        values = survived.astype(float)
-        batches.append((lanes, float(np.sum(values)), float(np.sum(values))))
+        total = float(np.count_nonzero(survived))
+        batches.append((lanes, total, total - total * total / lanes))
         n_overrun += int(np.count_nonzero(overrun))
         remaining -= lanes
         batch_index += 1
     return combine_batch_stats(batches, seed=seed, n_overrun=n_overrun)
-
-
-def simulate_population_run(
-    source: EnvironmentModel | OffspringLaw,
-    rng: RandomStream,
-    *,
-    cap: int | None = None,
-    cap_multiplier: float = 50.0,
-    max_individuals: int = 10_000_000,
-) -> PopulationRun:
-    """Simulate a single population trajectory to its terminal state."""
-    if cap is None:
-        cap = _population_cap(source, cap_multiplier)
-    model = source if isinstance(source, EnvironmentModel) else None
-    gen = rng.generator
-    z = 1
-    work = 0
-    generations = 0
-    while True:
-        law = source if model is None else model.sample_law(rng)
-        z = int(_one_generation(gen, law, z))
-        work += z
-        generations += 1
-        if z == 0:
-            return PopulationRun(generations=generations, final_state="extinct", cap=cap)
-        if z >= cap:
-            return PopulationRun(generations=generations, final_state="reached_cap", cap=cap)
-        if work > max_individuals:
-            raise ResourceOverrunError(
-                f"replicate exceeded {max_individuals} simulated individuals"
-            )
-
-
-def _one_generation(gen, law: OffspringLaw, z: int) -> int:
-    z_arr = np.asarray([z], dtype=np.int64)
-    if isinstance(law, LinearFractional):
-        return int(_engines._offspring_sum_lf(gen, law.p0, law.p, z_arr)[0])
-    if hasattr(law, "lam"):
-        return int(_engines._offspring_sum_poisson(gen, law.lam, z_arr)[0])
-    weights = np.asarray(law.weights)[None, :]
-    return int(_engines._offspring_sum_finite(gen, weights, z_arr)[0])
 
 
 # ---------------------------------------------------------------------------

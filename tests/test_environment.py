@@ -44,7 +44,7 @@ def test_make_environment_family_domain_error():
 def test_make_environment_degenerate_collapses():
     model = make_environment("poisson", epsilon=0.05, nu=0.0)
     rng = rng_stream(0, 0)
-    laws = {model.sample_law(rng).lam for _ in range(10)}
+    laws = {model.law_for_mean(m).lam for m in model.sample_means(rng, size=10)}
     assert laws == {1.05}
 
 

@@ -220,8 +220,9 @@ def test_summarize_validation():
 
 
 def test_combine_batch_stats_order_insensitive():
-    # batches hold (count, sum, sum of squares) of [1, 1, 1] and [0, 1]
-    batches = [(3, 3.0, 3.0), (2, 1.0, 1.0)]
+    # batches hold (count, sum, squared deviations from the batch mean)
+    # of [1, 1, 1] and [0, 1]
+    batches = [(3, 3.0, 0.0), (2, 1.0, 0.5)]
     a = combine_batch_stats(batches, seed=1)
     b = combine_batch_stats(list(reversed(batches)), seed=1)
     assert a == b

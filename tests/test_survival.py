@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from haldane import _engines
 from haldane import (
     EnvPath,
     FinitePmf,
     LinearFractional,
     Poisson,
     RegimeParams,
-    ResourceOverrunError,
     backward_extinction,
     estimate_survival_gf,
     gw_fixed_point_survival,
@@ -24,7 +24,6 @@ from haldane import (
     rng_stream,
     sample_env_path,
     simulate_population,
-    simulate_population_run,
     survival_identity,
 )
 
@@ -233,6 +232,68 @@ def test_gf_engines_agree_across_families():
         assert res.estimate == pytest.approx(pred, rel=0.25)
 
 
+class _RecordingModel:
+    """Stand-in for an environment model that keeps every mean it hands out."""
+
+    def __init__(self, model):
+        self.family = model.family
+        self._model = model
+        self.means = []
+
+    def sample_means(self, rng, size):
+        means = self._model.sample_means(rng, size)
+        self.means.extend(means.tolist())
+        return means
+
+
+@pytest.mark.parametrize(
+    "eps, rho, n_max, some_flagged",
+    [
+        (0.05, 1.0, 480, True),  # lanes stop on convergence; about half hit n_max
+        (0.02, 3.0, 100_000, False),  # lanes stop on the extinction floor
+    ],
+)
+def test_lf_kernel_matches_moebius_oracle_per_path(eps, rho, n_max, some_flagged):
+    """Each lane of the LF kernel equals the Moebius product over the very
+    environment it drew, and is flagged exactly when the oracle's stopping
+    rule still fails at n_max."""
+    tol_q, tol_mu = 1e-8, 1e-6
+    model = make_environment("linear_fractional", epsilon=eps, nu=rho * eps)
+
+    n_flagged = 0
+    for stream_id in range(40):
+        recorder = _RecordingModel(model)
+        values, flags = _engines.gf_lf_batch(recorder, 1, 7, stream_id, tol_q, tol_mu, n_max)
+        path = EnvPath.from_laws(model.law_for_mean(m) for m in recorder.means)
+        n = path.n
+        # 1 - q_0 loses about 1e-16 absolute when q_0 is close to 1
+        r = 1.0 - lf_exact_extinction(path)
+        r_prev = 1.0 - lf_exact_extinction(EnvPath.from_laws(path.laws[:-1])) if n > 1 else 1.0
+        assert abs(values[0] - r) <= 1e-12 * values[0] + 1e-15
+
+        mu_n = math.exp(path.cum_log_mean[n])
+        stops = r < _engines.EXTINCTION_FLOOR + 1e-15 or (
+            r_prev - r < tol_q and mu_n > 1.0 / tol_mu
+        )
+        assert n <= n_max
+        assert flags[0] == (n == n_max and not stops)
+        assert flags[0] or stops
+        n_flagged += int(flags[0])
+    assert (n_flagged > 0) == some_flagged
+
+
+def test_gf_std_error_survives_tiny_spread():
+    """At nu = 1e-18 the lanes differ in the 11th digit; the batch merge
+    must keep that spread instead of cancelling it against the mean."""
+    model = make_environment("linear_fractional", epsilon=0.05, nu=1e-18)
+    n = 4096
+    res = estimate_survival_gf(model, n_reps=n, seed=1)
+    values, _ = _engines.gf_lf_batch(model, n, 1, 0, 1e-8, 1e-6, 100_000)
+    direct = float(np.std(values, ddof=1)) / math.sqrt(n)
+    assert direct > 0.0
+    assert res.std_error == pytest.approx(direct, rel=1e-6, abs=0.0)
+
+
 def test_gf_scalar_fallback_uniform_noise():
     model = make_environment("poisson", epsilon=0.1, nu=0.02, noise="uniform")
     res = estimate_survival_gf(model, n_reps=300, seed=8)
@@ -250,19 +311,15 @@ def test_population_trivia():
     assert simulate_population(FinitePmf((1.0,)), n_reps=500, seed=3).estimate == 0.0
     res = simulate_population(FinitePmf((0.0, 0.0, 1.0)), n_reps=500, seed=3)
     assert res.estimate == 1.0
-    run = simulate_population_run(FinitePmf((0.0, 0.0, 1.0)), rng_stream(1, 1), cap=50)
-    assert run.final_state == "reached_cap"
-    assert run.generations == 6  # 2^6 = 64 >= 50
-    run = simulate_population_run(FinitePmf((1.0,)), rng_stream(1, 1), cap=50)
-    assert run.final_state == "extinct"
-    assert run.generations == 1
 
 
 def test_population_overrun_guard():
-    with pytest.raises(ResourceOverrunError):
-        simulate_population_run(
-            FinitePmf((0.0, 0.0, 1.0)), rng_stream(1, 1), cap=10**9, max_individuals=100
-        )
+    # doubling every generation, the work budget runs out long before the cap
+    res = simulate_population(
+        FinitePmf((0.0, 0.0, 1.0)), n_reps=50, seed=1, cap_multiplier=1e9, max_individuals=100
+    )
+    assert res.n_overrun == 50
+    assert res.estimate == 1.0
 
 
 def test_population_rejects_subcritical_model():
