@@ -11,10 +11,11 @@ Four generating-function routes exist:
 * a scalar fixed-point iteration when the environment is degenerate
   (every path is identical, so one iteration settles all replicates);
 * for linear-fractional families, the reciprocal-survival identity as an
-  annuity sum, one running sum and one discount per lane;
+  annuity sum, one running sum and one discount per lane, with the
+  stopping rule tested every ``_CHECK_EVERY`` generations;
 * a block-doubling backward recursion for other families under two-point
-  noise, replaying stored environment bits at geometrically spaced
-  checkpoint horizons;
+  noise, replaying stored environment bits (one stream bit per lane and
+  generation) at geometrically spaced checkpoint horizons;
 * a per-replicate Python fallback for the remaining (small-scale)
   combinations.
 
@@ -39,6 +40,11 @@ BATCH_SIZE = 16384
 # extinction: the future increase of the extinction probability is bounded
 # by the remaining survival mass, so stopping here is exact to 1e-15.
 EXTINCTION_FLOOR = 1e-15
+
+# The annuity-sum loops test their stopping rules every this many
+# generations (and at their horizon cap): between checks a generation is
+# one draw and two array updates.
+_CHECK_EVERY = 8
 
 # Storage guard for the bit-replay engine (bytes per batch).
 _MAX_BITS_BYTES = 1 << 29
@@ -99,6 +105,12 @@ def gf_lf_batch(
     with S_n = sum_{k<n} 1/mu_k and kappa = p0/(1-p0).  Each lane carries
     the running sum S and the discount C = 1/mu, and needs no path storage.
 
+    The stopping rule (r_n below the extinction floor, or the one-step
+    increment r_{n-1} - r_n below tol_q once C < tol_mu) is evaluated only
+    at every ``_CHECK_EVERY``-th generation and at ``n_max``, so a lane runs
+    at most ``_CHECK_EVERY - 1`` generations past its first eligible stop;
+    the extra generations only shrink the truncation error.
+
     Returns (survival values, flagged mask) as arrays of length n_lanes.
     """
     stream = rng_stream(seed, stream_id)
@@ -107,30 +119,32 @@ def gf_lf_batch(
 
     total = np.zeros(n_lanes)     # S_n
     discount = np.ones(n_lanes)   # 1/mu_n
-    prev_r = np.ones(n_lanes)
     idx = np.arange(n_lanes)
 
     values = np.zeros(n_lanes)
     flagged = np.zeros(n_lanes, dtype=bool)
 
-    for _ in range(n_max):
+    for n in range(1, n_max + 1):
         m = model.sample_means(stream, size=idx.size)
+        check = n % _CHECK_EVERY == 0 or n == n_max
+        if check:
+            prev_r = 1.0 / (1.0 + kappa * total)
         total += discount
         discount /= m
+        if not check:
+            continue
         r = 1.0 / (1.0 + kappa * total)
         done = (r < EXTINCTION_FLOOR) | ((prev_r - r < tol_q) & (discount < tol_mu))
+        if n == n_max:
+            values[idx] = r
+            flagged[idx] = ~done
+            break
         if np.any(done):
             values[idx[done]] = r[done]
             keep = ~done
             total, discount, idx = total[keep], discount[keep], idx[keep]
-            prev_r = r[keep]
             if idx.size == 0:
-                return values, flagged
-        else:
-            prev_r = r
-
-    values[idx] = prev_r
-    flagged[idx] = True
+                break
     return values, flagged
 
 
@@ -212,9 +226,10 @@ def gf_two_point_batch(
             bits, cap = grown, new_cap
 
         width = target - n
-        fresh = stream.generator.random((idx.size, width)) >= 0.5
+        fresh = stream.bits((idx.size, width))
         bits[:, n:target] = fresh
-        log_mu += np.sum(np.where(fresh, log_hi, log_lo), axis=1)
+        n_hi = np.count_nonzero(fresh, axis=1)
+        log_mu += n_hi * log_hi + (width - n_hi) * log_lo
         n = target
 
         # certain-extinction proxy: survival <= conditional mean population

@@ -270,14 +270,21 @@ class EnvironmentModel:
     # -- sampling -----------------------------------------------------------
 
     def sample_means(self, rng: RandomStream, size: int) -> np.ndarray:
+        """``size`` iid law means.  Two-point noise costs one stream bit
+        per mean and returns exactly the values of :meth:`mean_bounds`."""
         if self.nu == 0.0:
             return np.full(size, 1.0 + self.epsilon)
-        u = rng.generator.random(size)
         if self.noise == TWO_POINT:
-            zeta = np.where(u < 0.5, -1.0, 1.0)
-        else:
-            zeta = (2.0 * u - 1.0) * _SQRT3
-        return 1.0 + self.epsilon + math.sqrt(self.nu) * zeta
+            # a table lookup: np.where on a fresh random mask mispredicts
+            return np.take(self._two_point_table, rng.bits(size).view(np.uint8))
+        u = rng.generator.random(size)
+        return 1.0 + self.epsilon + math.sqrt(self.nu) * ((2.0 * u - 1.0) * _SQRT3)
+
+    @functools.cached_property
+    def _two_point_table(self) -> np.ndarray:
+        table = np.array(self.mean_bounds())
+        table.flags.writeable = False
+        return table
 
     # -- exact moments of the law mean ---------------------------------------
 

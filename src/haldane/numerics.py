@@ -376,6 +376,14 @@ class RandomStream:
         """Next ``n`` uniforms on [0, 1)."""
         return self._gen.random(n)
 
+    def bits(self, size) -> np.ndarray:
+        """Next fair coin flips as a boolean array of shape ``size``.
+
+        Each value costs one bit of the stream (numpy buffers bounded
+        boolean draws from 32-bit words), against 64 bits for a uniform.
+        """
+        return self._gen.integers(0, 2, size, dtype=bool)
+
 
 def rng_stream(master_seed: int, stream_id: int) -> RandomStream:
     """Create the random stream addressed by (master_seed, stream_id)."""

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
+from ._engines import _CHECK_EVERY
 from .environment import EnvironmentModel, LinearFractionalFamily, PoissonFamily
 from .numerics import InverseGammaParams, RandomStream, invgamma_cdf, ks_two_sample
 
@@ -111,8 +112,8 @@ class TwoPointLaw:
         return self.hi
 
     def sample(self, rng: RandomStream, size: int) -> np.ndarray:
-        u = rng.generator.random(size)
-        return np.where(u < 0.5, self.lo, self.hi)
+        """One stream bit per draw, mapped to exactly ``lo`` or ``hi``."""
+        return np.take(np.array([self.lo, self.hi]), rng.bits(size).view(np.uint8))
 
 
 ScalarLaw = ConstantLaw | TwoPointLaw
@@ -123,13 +124,19 @@ ScalarLaw = ConstantLaw | TwoPointLaw
 # ---------------------------------------------------------------------------
 
 def _limit_shape_values(model: EnvironmentModel, means: np.ndarray) -> np.ndarray:
-    """Shape-at-one of the family law, vectorized over realized means."""
+    """Shape-at-one of the family law, vectorized over realized means.
+
+    The finite family has no closed form, so its shape is evaluated once
+    per distinct mean (two values under two-point noise).
+    """
     family = model.family
     if isinstance(family, PoissonFamily):
         return np.full(means.shape, 0.5)
     if isinstance(family, LinearFractionalFamily):
         return 1.0 / (1.0 - family.p0) - 1.0 / means
-    return np.array([family.law_for_mean(float(m)).shape_at_one() for m in means])
+    distinct, inverse = np.unique(means, return_inverse=True)
+    shapes = np.array([family.law_for_mean(float(m)).shape_at_one() for m in distinct])
+    return shapes[inverse]
 
 
 @dataclass(frozen=True)
@@ -295,7 +302,9 @@ def sample_series_batch(
     Each lane runs ``acc += C_k * A_{k+1}; C_{k+1} = C_k * B_{k+1}`` and
     stops once C_k * sup(A) / (1 - exp(-theta)) < tol with theta the spec's
     contraction rate, so the discarded tail is below ``tol`` in
-    expectation.  Lanes still live at ``k_max`` are flagged.
+    expectation.  The rule is tested every ``_CHECK_EVERY`` terms and at
+    ``k_max``, so a lane may add up to ``_CHECK_EVERY - 1`` terms past its
+    first eligible stop.  Lanes still live at ``k_max`` are flagged.
     """
     regime_of(spec)  # admissibility gate
     _, theta = contraction_rate(spec)
@@ -308,10 +317,12 @@ def sample_series_batch(
     c = np.ones(n)
     acc = np.zeros(n)
 
-    for _ in range(k_max):
+    for k in range(1, k_max + 1):
         a, b = spec.sample_pairs(rng, idx.size)
         acc += c * a
         c *= b
+        if k % _CHECK_EVERY and k < k_max:
+            continue
         done = c < c_tol
         if np.any(done):
             values[idx[done]] = acc[done]
@@ -389,10 +400,16 @@ def annuity_residual(spec: PerpetuitySpec, n_samples: int, rng: RandomStream) ->
     Compares series draws {Y_i} against {A_i + B_i Y_sigma(i)} where the
     coefficient pairs are fresh and sigma is a random pairing, making each
     right-hand term a draw of A + B Y with independent coordinates.
+    Raises :class:`NonContractiveError` if any series draw is flagged.
     """
     if n_samples < 1000:
         raise ValueError(f"need at least 1000 samples, got {n_samples}")
-    y, _ = sample_series_batch(spec, n_samples, rng)
+    y, flags = sample_series_batch(spec, n_samples, rng)
+    n_flagged = int(np.count_nonzero(flags))
+    if n_flagged:
+        raise NonContractiveError(
+            f"{n_flagged} of {n_samples} series draws still above the tail bound at k_max"
+        )
     a, b = spec.sample_pairs(rng, n_samples)
     perm = rng.generator.permutation(n_samples)
     return ks_two_sample(y, a + b * y[perm])
@@ -405,7 +422,8 @@ class FitResult:
     Inverse-gamma limits report the one-sample KS distance of gamma*Y;
     degenerate limits report the fraction of beta*Y within 10% of alpha
     (``concentration``), because a KS statistic against a step CDF is
-    noise-dominated.
+    noise-dominated.  ``n_flagged`` counts draws whose series was cut at
+    ``k_max`` before its tail bound was met (truncated partial sums).
     """
 
     limit: LimitLaw
@@ -413,6 +431,7 @@ class FitResult:
     ks_distance: float | None
     concentration: float | None
     n_samples: int
+    n_flagged: int
 
 
 def limit_fit_test(
@@ -426,7 +445,8 @@ def limit_fit_test(
     against the regime's limit law."""
     regime = regime_of(spec)
     limit = limit_law(regime)
-    y, _ = sample_series_batch(spec, n_samples, rng, tol=tol)
+    y, flags = sample_series_batch(spec, n_samples, rng, tol=tol)
+    n_flagged = int(np.count_nonzero(flags))
     if isinstance(limit, DiracLimit):
         scaled = regime.beta * y
         within = np.abs(scaled - regime.alpha) <= 0.1 * regime.alpha
@@ -436,6 +456,7 @@ def limit_fit_test(
             ks_distance=None,
             concentration=float(np.mean(within)),
             n_samples=n_samples,
+            n_flagged=n_flagged,
         )
     scaled = regime.gamma * y
 
@@ -450,4 +471,5 @@ def limit_fit_test(
         ks_distance=ks_one_sample(scaled, cdf),
         concentration=None,
         n_samples=n_samples,
+        n_flagged=n_flagged,
     )

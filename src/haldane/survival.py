@@ -49,6 +49,7 @@ __all__ = [
     "haldane_prediction",
     "haldane_sweep",
     "lf_exact_extinction",
+    "lf_exact_survival",
     "sample_env_path",
     "simulate_population",
     "survival_identity",
@@ -126,24 +127,31 @@ def backward_extinction(path: EnvPath) -> np.ndarray:
     return 1.0 - _backward_survival(path)
 
 
-def lf_exact_extinction(path: EnvPath) -> float:
-    """Closed-form q_0 for an all-linear-fractional path.
+def lf_exact_survival(path: EnvPath) -> float:
+    """Closed-form conditional survival 1 - q_0 of an all-linear-fractional path.
 
     The one-step survival maps are Moebius maps with nonnegative matrix
     entries, so the whole composition is a single renormalized 2x2 product
-    evaluated at the tail value r_n = 1.
+    evaluated at the tail value r_n = 1.  The result (a+b)/(c+d) is a ratio
+    of sums of nonnegative terms, so it keeps its relative accuracy when the
+    survival is tiny, where 1 - q_0 would cancel.
     """
     a, b, c, d = 1.0, 0.0, 0.0, 1.0
     for law in path.laws:
         if not isinstance(law, LinearFractional):
-            raise TypeError(f"lf_exact_extinction requires linear-fractional laws, got {law!r}")
+            raise TypeError(f"lf_exact_survival requires linear-fractional laws, got {law!r}")
         la, lb, lc, ld = law.moebius()
         a, b = a * la + b * lc, a * lb + b * ld
         c, d = c * la + d * lc, c * lb + d * ld
         scale = max(a, b, c, d)
         a, b, c, d = a / scale, b / scale, c / scale, d / scale
-    survival = (a + b) / (c + d)
-    return 1.0 - survival
+    return (a + b) / (c + d)
+
+
+def lf_exact_extinction(path: EnvPath) -> float:
+    """Closed-form q_0 for an all-linear-fractional path: one minus
+    :func:`lf_exact_survival`."""
+    return 1.0 - lf_exact_survival(path)
 
 
 @dataclass(frozen=True)

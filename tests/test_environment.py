@@ -55,6 +55,25 @@ def test_two_point_support():
     assert hi == pytest.approx(1.11, abs=1e-12)
 
 
+def test_two_point_sample_means_exact_bounds():
+    model = make_environment("linear_fractional", epsilon=0.05, nu=0.02)
+    n = 1_000_000
+    means = model.sample_means(rng_stream(6, 1), size=n)
+    lo, hi = model.mean_bounds()
+    is_hi = means == hi
+    assert np.all(is_hi | (means == lo))
+    # share of the upper mean within 5 sigma of 1/2
+    assert abs(np.count_nonzero(is_hi) / n - 0.5) <= 5.0 * 0.5 / math.sqrt(n)
+    assert np.array_equal(means, model.sample_means(rng_stream(6, 1), size=n))
+
+
+def test_uniform_sample_means_one_uniform_each():
+    model = make_environment("poisson", epsilon=0.05, nu=0.02, noise="uniform")
+    u = rng_stream(6, 2).uniforms(1000)
+    expected = 1.0 + 0.05 + math.sqrt(0.02) * ((2.0 * u - 1.0) * SQRT3)
+    assert np.array_equal(model.sample_means(rng_stream(6, 2), size=1000), expected)
+
+
 def test_unknown_family_and_noise():
     with pytest.raises(ValueError, match="unknown family"):
         make_environment("geometricish", epsilon=0.01, nu=0.0)

@@ -256,6 +256,17 @@ def test_stream_crosscorrelation():
     assert abs(float(np.corrcoef(x, y)[0, 1])) < 5.0 / math.sqrt(n)
 
 
+def test_stream_bits_fair_and_reproducible():
+    n = 1_000_000
+    bits = rng_stream(5, 3).bits(n)
+    assert bits.dtype == bool and bits.shape == (n,)
+    # share of ones within 5 sigma of 1/2
+    assert abs(np.count_nonzero(bits) / n - 0.5) <= 5.0 * 0.5 / math.sqrt(n)
+    assert np.array_equal(bits, rng_stream(5, 3).bits(n))
+    assert not np.array_equal(bits[:100], rng_stream(5, 4).bits(100))
+    assert rng_stream(5, 3).bits((3, 7)).shape == (3, 7)
+
+
 def test_stream_validation():
     with pytest.raises(ValueError):
         RandomStream(-1, 0)

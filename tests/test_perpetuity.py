@@ -1,11 +1,13 @@
 """Perpetuity tests: environment coupling, regime arithmetic, series and
 chain samplers, annuity diagnostics, and limit-law mapping."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
+from haldane import perpetuity
 from haldane import (
     ConstantLaw,
     DiracLimit,
@@ -27,6 +29,8 @@ from haldane import (
 )
 from haldane.numerics import ks_threshold
 from haldane.perpetuity import (
+    NonContractiveError,
+    _limit_shape_values,
     contraction_rate,
     default_burn_in,
     sample_chain_batch,
@@ -67,6 +71,25 @@ def test_alpha_approaches_half_variance():
             alphas.append(regime_of(from_environment(model)).alpha)
         assert abs(alphas[1] - sigma_sq / 2) < abs(alphas[0] - sigma_sq / 2) + 1e-12
         assert alphas[1] == pytest.approx(sigma_sq / 2, rel=0.02)
+
+
+@pytest.mark.parametrize("noise", ["two_point", "uniform"])
+def test_finite_shape_values_match_per_mean_loop(noise):
+    model = make_environment("finite", epsilon=0.02, nu=0.02, noise=noise)
+    means = model.sample_means(rng_stream(8, 0), size=200)
+    expected = np.array([model.law_for_mean(float(m)).shape_at_one() for m in means])
+    assert np.array_equal(_limit_shape_values(model, means), expected)
+
+
+def test_two_point_law_sample_exact_values():
+    law = TwoPointLaw(0.3, 1.7)
+    n = 1_000_000
+    x = law.sample(rng_stream(7, 0), n)
+    is_hi = x == 1.7
+    assert np.all(is_hi | (x == 0.3))
+    # share of the upper value within 5 sigma of 1/2
+    assert abs(np.count_nonzero(is_hi) / n - 0.5) <= 5.0 * 0.5 / math.sqrt(n)
+    assert np.array_equal(x, law.sample(rng_stream(7, 0), n))
 
 
 def test_spec_construction_validation():
@@ -248,3 +271,17 @@ def test_limit_fit_environment_inverse_gamma():
     assert fit.limit.a == pytest.approx(2 * regime.rho_hat + 1)
     assert fit.limit.b == pytest.approx(2 * regime.alpha)
     assert fit.ks_distance < 0.05
+    assert fit.n_flagged == 0
+
+
+def test_flagged_series_draws_are_reported(monkeypatch):
+    """Draws cut at k_max reach the fit's n_flagged, and the annuity
+    diagnostic refuses them."""
+    spec = from_environment(make_environment("poisson", epsilon=0.02, nu=0.02))
+    # 16 terms leave every discount near 0.98**16, far above the tail bound
+    short = functools.partial(perpetuity.sample_series_batch, k_max=16)
+    monkeypatch.setattr(perpetuity, "sample_series_batch", short)
+    fit = limit_fit_test(spec, 1000, rng_stream(4, 2), tol=1e-3)
+    assert fit.n_flagged == 1000
+    with pytest.raises(NonContractiveError, match="1000 of 1000"):
+        annuity_residual(spec, 1000, rng_stream(4, 3))

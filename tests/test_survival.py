@@ -26,6 +26,7 @@ from haldane import (
     simulate_population,
     survival_identity,
 )
+from haldane.survival import lf_exact_survival
 
 
 # ---------------------------------------------------------------------------
@@ -247,37 +248,46 @@ class _RecordingModel:
 
 
 @pytest.mark.parametrize(
-    "eps, rho, n_max, some_flagged",
+    "eps, rho, n_max, tol_q, some_flagged",
     [
-        (0.05, 1.0, 480, True),  # lanes stop on convergence; about half hit n_max
-        (0.02, 3.0, 100_000, False),  # lanes stop on the extinction floor
+        (0.05, 1.0, 480, 1e-8, True),  # lanes stop on convergence; about half hit n_max
+        (0.02, 3.0, 100_000, 1e-8, False),  # lanes stop on the extinction floor
+        (0.05, 1.0, 100_000, 1e-11, False),  # the increment rule, not tol_mu, binds
     ],
+    ids=["0.05-1.0-480-True", "0.02-3.0-100000-False", "0.05-1.0-100000-tol_q=1e-11-False"],
 )
-def test_lf_kernel_matches_moebius_oracle_per_path(eps, rho, n_max, some_flagged):
+def test_lf_kernel_matches_moebius_oracle_per_path(eps, rho, n_max, tol_q, some_flagged):
     """Each lane of the LF kernel equals the Moebius product over the very
-    environment it drew, and is flagged exactly when the oracle's stopping
-    rule still fails at n_max."""
-    tol_q, tol_mu = 1e-8, 1e-6
+    environment it drew, stops at the first check generation (a multiple of
+    the check stride, or n_max) where the oracle's stopping rule holds, and
+    is flagged exactly when that rule still fails at n_max."""
+    tol_mu = 1e-6
+    stride = _engines._CHECK_EVERY
     model = make_environment("linear_fractional", epsilon=eps, nu=rho * eps)
+
+    def oracle(laws):
+        """(survival, whether the stopping rule holds) after len(laws) generations."""
+        path = EnvPath.from_laws(laws)
+        r = lf_exact_survival(path)
+        r_prev = lf_exact_survival(EnvPath.from_laws(laws[:-1])) if len(laws) > 1 else 1.0
+        mu_n = math.exp(path.cum_log_mean[-1])
+        return r, r < _engines.EXTINCTION_FLOOR or (r_prev - r < tol_q and mu_n > 1.0 / tol_mu)
 
     n_flagged = 0
     for stream_id in range(40):
         recorder = _RecordingModel(model)
         values, flags = _engines.gf_lf_batch(recorder, 1, 7, stream_id, tol_q, tol_mu, n_max)
-        path = EnvPath.from_laws(model.law_for_mean(m) for m in recorder.means)
-        n = path.n
-        # 1 - q_0 loses about 1e-16 absolute when q_0 is close to 1
-        r = 1.0 - lf_exact_extinction(path)
-        r_prev = 1.0 - lf_exact_extinction(EnvPath.from_laws(path.laws[:-1])) if n > 1 else 1.0
-        assert abs(values[0] - r) <= 1e-12 * values[0] + 1e-15
-
-        mu_n = math.exp(path.cum_log_mean[n])
-        stops = r < _engines.EXTINCTION_FLOOR + 1e-15 or (
-            r_prev - r < tol_q and mu_n > 1.0 / tol_mu
-        )
+        laws = [model.law_for_mean(m) for m in recorder.means]
+        n = len(laws)
+        r, stops = oracle(laws)
+        assert abs(values[0] - r) <= 1e-12 * r
         assert n <= n_max
+        assert n % stride == 0 or n == n_max
         assert flags[0] == (n == n_max and not stops)
         assert flags[0] or stops
+        previous_check = (n - 1) // stride * stride
+        if previous_check:
+            assert not oracle(laws[:previous_check])[1]
         n_flagged += int(flags[0])
     assert (n_flagged > 0) == some_flagged
 
