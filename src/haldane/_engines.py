@@ -6,18 +6,21 @@ so results are reproducible bit-for-bit for a given ``(seed, n_reps)`` no
 matter how batches are scheduled.  Aggregation happens in
 :func:`haldane.numerics.combine_batch_stats`, which is order-insensitive.
 
-Four generating-function routes exist:
+Three generating-function routes exist:
 
 * a scalar fixed-point iteration when the environment is degenerate
   (every path is identical, so one iteration settles all replicates);
 * for linear-fractional families, the reciprocal-survival identity as an
   annuity sum, one running sum and one discount per lane, with the
   stopping rule tested every ``_CHECK_EVERY`` generations;
-* a block-doubling backward recursion for other families under two-point
-  noise, replaying stored environment bits (one stream bit per lane and
-  generation) at geometrically spaced checkpoint horizons;
-* a per-replicate Python fallback for the remaining (small-scale)
-  combinations.
+* for every other family under either noise kind, a block-doubling
+  backward replay over a stored environment matrix (packed stream bits
+  under two-point noise, one float64 law parameter per lane and
+  generation under uniform noise) at geometrically spaced checkpoint
+  horizons, one family evaluation per lane-generation.
+
+``gf_scalar_path`` replays one path law by law in pure Python; it is the
+per-path oracle of the tests, not an estimator route.
 
 The benchmark's tracer (``perfbench/tracing.py``) wraps these kernels by
 name and reads their arguments by position, so renaming one or changing
@@ -46,12 +49,14 @@ EXTINCTION_FLOOR = 1e-15
 # one draw and two array updates.
 _CHECK_EVERY = 8
 
-# Storage guard for the bit-replay engine (bytes per batch).
+# Storage guard for the replay engine's environment matrix (bytes per
+# batch): 1/8 byte per lane-generation packed, 8 bytes as float64.
 _MAX_BITS_BYTES = 1 << 29
 
 
 class HorizonStorageError(RuntimeError):
-    """Raised when the bit-replay engine would exceed its storage budget."""
+    """Raised when the replay engine's environment matrix would exceed its
+    storage budget."""
 
 
 # ---------------------------------------------------------------------------
@@ -149,32 +154,43 @@ def gf_lf_batch(
 
 
 # ---------------------------------------------------------------------------
-# Generic families under two-point noise: bit replay with doubling horizons
+# Generic families: backward replay over a stored environment matrix
 # ---------------------------------------------------------------------------
 
-def _survival_backward_pair(law_lo, law_hi, bits: np.ndarray, n: int):
-    """Conditional survival of horizons n and n-1 over stored noise bits.
+# Generations per transposed block of the replay (a multiple of 8, so a
+# block of packed bits starts on a byte).
+_REPLAY_BLOCK = 32
 
-    ``bits[:, k]`` selects the law of generation k+1.  Returns (u, v) with
-    u the survival for the length-n path and v for the same path truncated
-    after n-1 generations; u <= v lane-wise.
+
+def _survival_backward_pair(family, table, env: np.ndarray, n: int):
+    """Conditional survival of horizons n and n-1 over a stored environment.
+
+    ``env`` has one row per lane.  Under two-point noise it holds the
+    stream bits packed 8 generations per byte (bit ``k % 8`` of byte
+    ``k // 8``, little-endian) and ``table[:, b]`` holds the survival-step
+    coefficients of the law that bit b selects; under uniform noise
+    ``table`` is None and ``env[:, k]`` holds the law parameter of
+    generation k+1.  Returns (u, v) with u the survival for the length-n
+    path and v for the same path truncated after n-1 generations; u <= v
+    lane-wise.  Both are advanced by one family evaluation per generation.
     """
-    rows = bits.shape[0]
-    u = np.ones(rows)
-    v = np.ones(rows)
-    for k in range(n - 1, -1, -1):
-        col = bits[:, k]
-        u_lo = law_lo.survival_map(u)
-        u_hi = law_hi.survival_map(u)
-        u = np.where(col, u_hi, u_lo)
-        if k < n - 1:
-            v_lo = law_lo.survival_map(v)
-            v_hi = law_hi.survival_map(v)
-            v = np.where(col, v_hi, v_lo)
-    return u, v
+    uv = np.ones((2, env.shape[0]))
+    for start in range((n - 1) // _REPLAY_BLOCK * _REPLAY_BLOCK, -1, -_REPLAY_BLOCK):
+        stop = min(start + _REPLAY_BLOCK, n)
+        if table is None:
+            coefs = family.step_coefficients(np.ascontiguousarray(env[:, start:stop].T))
+        else:
+            block = env[:, start // 8:(stop + 7) // 8].T
+            coefs = table[:, np.unpackbits(block, axis=0, count=stop - start, bitorder="little")]
+        for g in range(stop - start - 1, -1, -1):
+            if start + g == n - 1:
+                uv[0] = family.survival_step(coefs[:, g], uv[0])
+            else:
+                uv = family.survival_step(coefs[:, g], uv)
+    return uv[0], uv[1]
 
 
-def gf_two_point_batch(
+def gf_replay_batch(
     model: EnvironmentModel,
     n_lanes: int,
     seed: int,
@@ -183,21 +199,28 @@ def gf_two_point_batch(
     tol_mu: float,
     n_max: int,
 ):
-    """Survival per replicate for a two-point-noise batch of a generic family.
+    """Survival per replicate for a batch of a generic family, either noise.
 
-    The environment of each lane is recorded as one bit per generation;
-    at checkpoint horizons (powers of two times 256, capped at ``n_max``)
-    the backward survival recursion is replayed over the stored bits for
-    lanes whose mean-growth condition is satisfied, and converged lanes
-    are retired.  Total backward work is at most about twice the forward
-    work thanks to the doubling schedule.
+    The environment of each lane is stored as it is drawn: under two-point
+    noise one stream bit per generation, packed 8 to a byte; under uniform
+    noise one float64 law parameter per generation (``family.law_params``
+    of the drawn mean), the means drawn as one (live lanes x width) block
+    per checkpoint.  At checkpoint horizons (powers of two times 256,
+    capped at ``n_max``) the backward survival recursion is replayed over
+    the stored matrix for lanes whose mean-growth condition is satisfied,
+    and converged lanes are retired.  Total backward work is at most about
+    twice the forward work thanks to the doubling schedule.
     """
-    m_lo, m_hi = model.support_means()
-    law_lo = model.law_for_mean(m_lo)
-    law_hi = model.law_for_mean(m_hi)
-    log_lo, log_hi = math.log(m_lo), math.log(m_hi)
+    family = model.family
+    packed = model.noise == TWO_POINT
     log_tol_mu = -math.log(tol_mu)
     log_floor = math.log(EXTINCTION_FLOOR)
+    if packed:
+        m_lo, m_hi = model.support_means()
+        log_lo, log_hi = math.log(m_lo), math.log(m_hi)
+        table = family.step_coefficients(family.law_params([m_lo, m_hi]))
+    else:
+        table = None
 
     stream = rng_stream(seed, stream_id)
     values = np.zeros(n_lanes)
@@ -205,71 +228,76 @@ def gf_two_point_batch(
 
     idx = np.arange(n_lanes)
     log_mu = np.zeros(n_lanes)
-    cap = 256
-    bits = np.zeros((n_lanes, cap), dtype=bool)
+    env = np.zeros((n_lanes, 0), dtype=np.uint8 if packed else np.float64)
     n = 0
 
     checkpoint = 256
     while True:
         target = min(checkpoint, n_max)
-        if target > cap:
-            new_cap = cap
-            while new_cap < target:
-                new_cap *= 2
-            if idx.size * new_cap > _MAX_BITS_BYTES:
+        cols = (target + 7) // 8 if packed else target
+        if cols > env.shape[1]:
+            nbytes = idx.size * cols * env.itemsize
+            if nbytes > _MAX_BITS_BYTES:
                 raise HorizonStorageError(
-                    "environment storage budget exceeded; lower n_max or use a "
-                    "linear-fractional family for deep subcritical horizons"
+                    f"environment storage for {idx.size} live lanes to horizon {target} "
+                    f"needs {nbytes} bytes, over the budget of {_MAX_BITS_BYTES}; lower "
+                    "n_max or the replicates per batch, or use a linear-fractional family "
+                    "for deep subcritical horizons"
                 )
-            grown = np.zeros((idx.size, new_cap), dtype=bool)
-            grown[:, :cap] = bits
-            bits, cap = grown, new_cap
+            grown = np.zeros((idx.size, cols), dtype=env.dtype)
+            grown[:, :env.shape[1]] = env
+            env = grown
 
         width = target - n
-        fresh = stream.bits((idx.size, width))
-        bits[:, n:target] = fresh
-        n_hi = np.count_nonzero(fresh, axis=1)
-        log_mu += n_hi * log_hi + (width - n_hi) * log_lo
+        if packed:
+            fresh = stream.bits((idx.size, width))
+            n_hi = np.count_nonzero(fresh, axis=1)
+            log_mu += n_hi * log_hi + (width - n_hi) * log_lo
+            env[:, n // 8:cols] = np.packbits(fresh, axis=1, bitorder="little")
+        else:
+            means = model.sample_means(stream, size=idx.size * width).reshape(idx.size, width)
+            log_mu += np.log(means).sum(axis=1)
+            env[:, n:target] = family.law_params(means)
         n = target
 
         # certain-extinction proxy: survival <= conditional mean population
         extinct = log_mu < log_floor
         mu_ok = log_mu > log_tol_mu
-        check = extinct | mu_ok | (n >= n_max)
+        check = ~extinct & (mu_ok | (n >= n_max))
+        done = extinct.copy()
         if np.any(check):
-            u, v = _survival_backward_pair(law_lo, law_hi, bits[check], n)
-            inc = v - u
-            done_local = extinct[check] | (u < EXTINCTION_FLOOR) | (mu_ok[check] & (inc < tol_q))
+            checked = env if check.all() else env[check]
+            u, v = _survival_backward_pair(family, table, checked, n)
+            converged = (u < EXTINCTION_FLOOR) | (mu_ok[check] & (v - u < tol_q))
+            rows = np.flatnonzero(check)
+            values[idx[rows]] = u
             if n >= n_max:
-                flag_local = ~done_local
-                done_local = np.ones_like(done_local)
+                flagged[idx[rows]] = ~converged
+                done[rows] = True
             else:
-                flag_local = np.zeros_like(done_local)
-            check_rows = np.flatnonzero(check)
-            done_rows = check_rows[done_local]
-            values[idx[done_rows]] = np.where(extinct[done_rows], 0.0, u[done_local])
-            flagged[idx[done_rows]] = flag_local[done_local]
-            keep = np.ones(idx.size, dtype=bool)
-            keep[done_rows] = False
-            if not np.all(keep):
-                idx = idx[keep]
-                log_mu = log_mu[keep]
-                bits = bits[keep]
-                if idx.size == 0:
-                    return values, flagged
-        if n >= n_max:
-            values[idx] = 0.0  # unreachable: n_max retires every lane above
-            flagged[idx] = True
+                done[rows] = converged
+        if n >= n_max or np.all(done):
             return values, flagged
+        if np.any(done):
+            keep = ~done
+            idx, log_mu, env = idx[keep], log_mu[keep], env[keep]
         checkpoint *= 2
 
 
+# The benchmark tracer wraps the engine under this name.
+gf_two_point_batch = gf_replay_batch
+
+
 # ---------------------------------------------------------------------------
-# Per-replicate fallback (uniform noise with a generic family)
+# Per-path oracle (tests only; no estimator calls it)
 # ---------------------------------------------------------------------------
 
 def gf_scalar_path(model: EnvironmentModel, stream, tol_q: float, tol_mu: float, n_max: int):
-    """One replicate by stored-path replay, any noise kind, pure Python."""
+    """One replicate by law-by-law replay in pure Python, any noise kind.
+
+    The stopping rules are those of :func:`gf_replay_batch`; the laws come
+    from ``model.law_for_mean``, one per drawn mean.
+    """
     log_tol_mu = -math.log(tol_mu)
     means: list[float] = []
     laws: list[OffspringLaw] = []
@@ -406,7 +434,7 @@ def population_batch(
                 hi_mask = m > (1.0 + model.epsilon)
                 weights = np.where(hi_mask[:, None], hi_w[None, :], lo_w[None, :])
             else:
-                weights = np.stack([np.asarray(model.law_for_mean(float(v)).weights) for v in m])
+                weights = model.family.tilted_weights(model.family.law_params(m))
             z = _offspring_sum_finite(gen, weights, z)
 
         work = work + z

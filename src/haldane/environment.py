@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 from scipy import integrate
 
 from .numerics import RandomStream
-from .offspring import FinitePmf, LinearFractional, OffspringLaw, Poisson
+from .offspring import FinitePmf, LinearFractional, OffspringLaw, Poisson, finite_tail_sum
 
 __all__ = [
     "AssumptionReport",
@@ -53,14 +54,34 @@ _SQRT3 = math.sqrt(3.0)
 # ---------------------------------------------------------------------------
 # Offspring families
 # ---------------------------------------------------------------------------
+#
+# Besides ``law_for_mean``, the families the backward replay of ``_engines``
+# runs on (all but linear-fractional) map a whole array of means at once to
+# one float64 law parameter per mean (``law_params``), the parameters to the
+# coefficients of the one-step survival map (``step_coefficients``, stacked
+# on a new leading axis), and apply that map lane by lane
+# (``survival_step``).
 
+@dataclass(frozen=True)
 class PoissonFamily:
     """Maps a mean m to the Poisson(m) offspring law."""
 
-    name = "poisson"
+    name: ClassVar[str] = "poisson"
 
     def law_for_mean(self, m: float) -> Poisson:
         return Poisson(m)
+
+    def law_params(self, means) -> np.ndarray:
+        """The rate of each law: the mean itself."""
+        return np.array(means, dtype=float)
+
+    def step_coefficients(self, params: np.ndarray) -> np.ndarray:
+        return params[None]
+
+    @staticmethod
+    def survival_step(coefs, r) -> np.ndarray:
+        """1 - f(1 - r) = -expm1(-lam r), with ``coefs[0]`` the rates."""
+        return -np.expm1(-coefs[0] * r)
 
     def validate_mean_range(self, m_lo: float, m_hi: float) -> None:
         if m_lo <= 0.0:
@@ -71,10 +92,8 @@ class PoissonFamily:
     def sigma_sq_limit(self) -> float:
         return 1.0
 
-    def __repr__(self) -> str:
-        return "PoissonFamily()"
 
-
+@dataclass(frozen=True)
 class LinearFractionalFamily:
     """Maps a mean m to the linear-fractional law with fixed zero mass p0.
 
@@ -82,12 +101,12 @@ class LinearFractionalFamily:
     which lies in [0, 1) exactly when m >= 1 - p0.
     """
 
-    name = "linear_fractional"
+    p0: float = 0.3
+    name: ClassVar[str] = "linear_fractional"
 
-    def __init__(self, p0: float = 0.3) -> None:
-        if not (0.0 <= p0 < 1.0):
-            raise ValueError(f"zero-offspring mass must lie in [0, 1), got {p0}")
-        self.p0 = p0
+    def __post_init__(self) -> None:
+        if not (0.0 <= self.p0 < 1.0):
+            raise ValueError(f"zero-offspring mass must lie in [0, 1), got {self.p0}")
 
     def law_for_mean(self, m: float) -> LinearFractional:
         p = 1.0 - (1.0 - self.p0) / m
@@ -107,94 +126,160 @@ class LinearFractionalFamily:
     def sigma_sq_limit(self) -> float:
         return 2.0 * self.p0 / (1.0 - self.p0)
 
-    def __repr__(self) -> str:
-        return f"LinearFractionalFamily(p0={self.p0})"
+
+# Safeguarded Newton for the tilt: iteration cap, and the step (relative to
+# max(1, |t|)) below which a tilt is final.
+_TILT_MAX_ITER = 200
+_TILT_STEP_TOL = 4.0 * np.finfo(float).eps
+_TILT_CHUNK = 1 << 14
 
 
-@functools.lru_cache(maxsize=65536)
-def _tilted_weights(template: tuple[float, ...], m: float) -> tuple[float, ...]:
-    """Exponentially tilted template weights with mean m (log-space solve)."""
-    z = np.arange(len(template), dtype=float)
-    log_w = np.log(np.maximum(np.asarray(template, dtype=float), 1e-300))
-    positive = np.asarray(template) > 0.0
-
-    def tilted_mean(t: float) -> float:
-        logits = log_w + z * t
-        logits[~positive] = -np.inf
-        logits -= logits.max()
-        w = np.exp(logits)
-        return float(np.sum(w * z) / np.sum(w))
-
-    lo, hi = -1.0, 1.0
-    for _ in range(80):
-        if tilted_mean(lo) < m:
-            break
-        lo *= 2.0
-    for _ in range(80):
-        if tilted_mean(hi) > m:
-            break
-        hi *= 2.0
-    if not (tilted_mean(lo) < m < tilted_mean(hi)):
-        raise ValueError(f"family mean domain: mean {m} not attainable by tilting the template")
-    from scipy.optimize import brentq
-
-    t_star = brentq(lambda t: tilted_mean(t) - m, lo, hi, xtol=1e-15, rtol=8.9e-16)
-    logits = log_w + z * t_star
-    logits[~positive] = -np.inf
-    logits -= logits.max()
-    w = np.exp(logits)
-    w /= math.fsum(w)
-    return tuple(float(v) for v in w)
-
-
+@dataclass(frozen=True)
 class FinitePmfFamily:
     """Maps a mean m to an exponentially tilted copy of a template pmf.
 
     Tilting preserves the support and moves the mean monotonically, so any
     mean strictly between the smallest and largest support points carrying
-    weight is attainable.
+    weight is attainable.  The law parameter is the tilt t: weights
+    proportional to ``template[z] * exp(t z)``; t = 0 gives the template
+    itself, exactly.
     """
 
-    name = "finite"
+    template: tuple[float, ...] = (0.25, 0.5, 0.25)
+    name: ClassVar[str] = "finite"
+    _support: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _log_weights: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _mean: float = field(init=False, repr=False, compare=False)
+    _variance: float = field(init=False, repr=False, compare=False)
 
-    def __init__(self, template=(0.25, 0.5, 0.25)) -> None:
-        law = FinitePmf(template)  # validates weights
-        self.template = law.weights
-        support = [z for z, w in enumerate(self.template) if w > 0.0]
-        self._m_min = float(min(support))
-        self._m_max = float(max(support))
+    def __post_init__(self) -> None:
+        template = FinitePmf(self.template).weights  # validates weights
+        support = tuple(z for z, w in enumerate(template) if w > 0.0)
+        object.__setattr__(self, "template", template)
+        object.__setattr__(self, "_support", support)
+        object.__setattr__(self, "_log_weights", tuple(math.log(template[z]) for z in support))
+        object.__setattr__(self, "_mean", math.fsum(z * w for z, w in enumerate(template)))
+        object.__setattr__(self, "_variance", FinitePmf(template).variance())
 
     def law_for_mean(self, m: float) -> FinitePmf:
-        if math.isclose(m, self._template_mean(), rel_tol=0.0, abs_tol=1e-15):
-            return FinitePmf(self.template)
-        if self._m_min == self._m_max:
-            raise ValueError(
-                f"family mean domain: degenerate template only attains mean {self._m_min}"
-            )
-        return FinitePmf(_tilted_weights(self.template, float(m)))
+        return FinitePmf(self.tilted_weights(self.law_params([m]))[0])
 
-    def _template_mean(self) -> float:
-        return math.fsum(z * w for z, w in enumerate(self.template))
+    def law_params(self, means) -> np.ndarray:
+        """The tilt of each law, by a vectorized safeguarded Newton solve.
+
+        Every operation acts elementwise and a converged row is frozen, so
+        each tilt is bitwise independent of the other means in the batch.
+        Means within 1e-15 of the template mean get the tilt 0 exactly.
+        """
+        m = np.array(means, dtype=float)
+        t = np.zeros(m.shape)
+        todo = np.flatnonzero(np.abs(m - self._mean) > 1e-15)
+        if todo.size == 0:
+            return t
+        z_min, z_max = self._support[0], self._support[-1]
+        if z_min == z_max:
+            raise ValueError(
+                f"family mean domain: degenerate template only attains mean {float(z_min)}"
+            )
+        target = m.ravel()[todo]
+        outside = ~((z_min < target) & (target < z_max))
+        if np.any(outside):
+            raise ValueError(
+                f"family mean domain: mean {target[outside][0]} not attainable by tilting the template"
+            )
+        # chunks small enough to stay in cache; rows never interact
+        t.ravel()[todo] = np.concatenate([
+            self._solve_tilt(target[i:i + _TILT_CHUNK]) for i in range(0, target.size, _TILT_CHUNK)
+        ])
+        return t
+
+    def _solve_tilt(self, target: np.ndarray) -> np.ndarray:
+        # The first Newton step from t = 0 in closed form; [lo, hi] brackets
+        # the root (the tilted mean increases with t).
+        t = (target - self._mean) / self._variance
+        lo = np.where(target > self._mean, 0.0, -np.inf)
+        hi = np.where(target < self._mean, 0.0, np.inf)
+        active = np.arange(target.size)
+        ta, goal = t, target
+        for _ in range(_TILT_MAX_ITER):
+            terms, total = self._tilt_terms(ta)
+            mean = sum(z * e for z, e in zip(self._support, terms)) / total
+            var = sum(z * z * e for z, e in zip(self._support, terms)) / total - mean * mean
+            gap = mean - goal
+            lo = np.where(gap < 0.0, ta, lo)
+            hi = np.where(gap > 0.0, ta, hi)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = ta - gap / var
+            scale = np.maximum(1.0, np.abs(ta))
+            bad = np.flatnonzero(~((step > lo) & (step < hi)))  # also catches nan
+            if bad.size:
+                # bisect, or step out by max(1, |t|) while one side is open
+                tb, lb, hb, sb = ta[bad], lo[bad], hi[bad], scale[bad]
+                step[bad] = np.where(
+                    np.isinf(hb), tb + sb, np.where(np.isinf(lb), tb - sb, 0.5 * (lb + hb))
+                )
+            tol = _TILT_STEP_TOL * scale
+            done = (gap == 0.0) | (np.abs(step - ta) <= tol) | (hi - lo <= tol)
+            step = np.where(gap == 0.0, ta, step)
+            t[active] = step
+            keep = ~done
+            if not keep.any():
+                return t
+            active = active[keep]
+            ta, goal, lo, hi = step[keep], goal[keep], lo[keep], hi[keep]
+        raise ValueError("family mean domain: tilt solve did not converge")
+
+    def _tilt_terms(self, t: np.ndarray):
+        """Unnormalized tilted weights on the support (largest term 1) and their sum."""
+        logits = [lw + z * t for z, lw in zip(self._support, self._log_weights)]
+        top = logits[0]
+        for logit in logits[1:]:
+            top = np.maximum(top, logit)
+        terms = [np.exp(logit - top) for logit in logits]
+        total = terms[0]
+        for term in terms[1:]:
+            total = total + term
+        return terms, total
+
+    def _tilted_columns(self, t: np.ndarray) -> list[np.ndarray]:
+        """Weight of each value 0..K under the tilts t, one array per value."""
+        terms, total = self._tilt_terms(t)
+        at_template = t == 0.0
+        columns = [np.zeros(t.shape) for _ in self.template]
+        for z, term in zip(self._support, terms):
+            columns[z] = np.where(at_template, self.template[z], term / total)
+        return columns
+
+    def tilted_weights(self, t) -> np.ndarray:
+        """Tilted template weights, one row per tilt."""
+        return np.stack(self._tilted_columns(np.asarray(t, dtype=float)), axis=-1)
+
+    def step_coefficients(self, params: np.ndarray) -> np.ndarray:
+        """The weights of the values 1..K (the zero mass does not enter)."""
+        return np.stack(self._tilted_columns(params)[1:])
+
+    @staticmethod
+    def survival_step(coefs, r) -> np.ndarray:
+        """1 - f(1 - r) lane by lane, with ``coefs[z-1]`` the weights w_z."""
+        return r * finite_tail_sum(coefs, 1.0 - r)
 
     def validate_mean_range(self, m_lo: float, m_hi: float) -> None:
-        if self._m_min == self._m_max:
+        z_min, z_max = float(self._support[0]), float(self._support[-1])
+        if z_min == z_max:
             # degenerate template: only its own mean is attainable
-            if m_lo == m_hi == self._template_mean():
+            if m_lo == m_hi == self._mean:
                 return
             raise ValueError(
-                f"family mean domain: degenerate template only attains mean {self._m_min}"
+                f"family mean domain: degenerate template only attains mean {z_min}"
             )
-        if not (self._m_min < m_lo and m_hi < self._m_max):
+        if not (z_min < m_lo and m_hi < z_max):
             raise ValueError(
                 "family mean domain: tilted template attains means in "
-                f"({self._m_min}, {self._m_max}), support reaches [{m_lo}, {m_hi}]"
+                f"({z_min}, {z_max}), support reaches [{m_lo}, {m_hi}]"
             )
 
     def sigma_sq_limit(self) -> float:
         return self.law_for_mean(1.0).variance()
-
-    def __repr__(self) -> str:
-        return f"FinitePmfFamily(template={self.template})"
 
 
 OffspringFamily = PoissonFamily | LinearFractionalFamily | FinitePmfFamily
@@ -265,7 +350,16 @@ class EnvironmentModel:
         raise ValueError("uniform noise has no finite mean support")
 
     def law_for_mean(self, m: float) -> OffspringLaw:
-        return self.family.law_for_mean(m)
+        """The family law of mean m; the laws at the support means of
+        two-point or degenerate noise are built once per model."""
+        law = self._support_laws.get(m)
+        return law if law is not None else self.family.law_for_mean(m)
+
+    @functools.cached_property
+    def _support_laws(self) -> dict[float, OffspringLaw]:
+        if self.noise == UNIFORM and self.nu > 0.0:
+            return {}
+        return {m: self.family.law_for_mean(m) for m in self.support_means()}
 
     # -- sampling -----------------------------------------------------------
 

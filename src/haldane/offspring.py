@@ -220,6 +220,20 @@ class LinearFractional:
         return int(draws[0]) if size is None else draws
 
 
+def finite_tail_sum(weights, s: np.ndarray) -> np.ndarray:
+    """T(s) = sum_{z>=1} w_z (1 + s + ... + s^{z-1}) for weights w_1, w_2, ...
+
+    A weight may be a float or an array broadcasting against ``s`` (one
+    law per lane).  Every term is nonnegative on [0, 1].
+    """
+    total = np.zeros_like(s)
+    h = np.zeros_like(s)  # h_z(s) = 1 + s + ... + s^{z-1}, h_0 = 0
+    for w in weights:
+        h = h * s + 1.0
+        total = total + w * h
+    return total
+
+
 @dataclass(frozen=True)
 class FinitePmf:
     """Offspring law given by explicit weights on {0, ..., K}, K <= 64."""
@@ -257,17 +271,8 @@ class FinitePmf:
                 total += w * h
             return r * total
         arr = np.asarray(r, dtype=float)
-        value = arr * self._tail_sum(1.0 - arr)
+        value = arr * finite_tail_sum(self.weights[1:], 1.0 - arr)
         return _scalar_like(value, r)
-
-    def _tail_sum(self, s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        total = np.zeros_like(s)
-        h = np.zeros_like(s)  # h_z(s) = 1 + s + ... + s^{z-1}, h_0 = 0
-        for w in self.weights[1:]:
-            h = h * s + 1.0
-            total = total + w * h
-        return total
 
     def mean(self) -> float:
         return math.fsum(z * w for z, w in enumerate(self.weights))

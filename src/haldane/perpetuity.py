@@ -26,7 +26,8 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from ._engines import _CHECK_EVERY
-from .environment import EnvironmentModel, LinearFractionalFamily, PoissonFamily
+from .environment import UNIFORM, EnvironmentModel, LinearFractionalFamily, PoissonFamily
+from .offspring import FinitePmf
 from .numerics import InverseGammaParams, RandomStream, invgamma_cdf, ks_two_sample
 
 __all__ = [
@@ -127,7 +128,8 @@ def _limit_shape_values(model: EnvironmentModel, means: np.ndarray) -> np.ndarra
     """Shape-at-one of the family law, vectorized over realized means.
 
     The finite family has no closed form, so its shape is evaluated once
-    per distinct mean (two values under two-point noise).
+    per distinct mean: from the model's two support laws under two-point
+    noise, and from one vectorized tilt solve under uniform noise.
     """
     family = model.family
     if isinstance(family, PoissonFamily):
@@ -135,7 +137,11 @@ def _limit_shape_values(model: EnvironmentModel, means: np.ndarray) -> np.ndarra
     if isinstance(family, LinearFractionalFamily):
         return 1.0 / (1.0 - family.p0) - 1.0 / means
     distinct, inverse = np.unique(means, return_inverse=True)
-    shapes = np.array([family.law_for_mean(float(m)).shape_at_one() for m in distinct])
+    if model.noise == UNIFORM and model.nu > 0.0:
+        laws = [FinitePmf(w) for w in family.tilted_weights(family.law_params(distinct))]
+    else:
+        laws = [model.law_for_mean(float(m)) for m in distinct]
+    shapes = np.array([law.shape_at_one() for law in laws])
     return shapes[inverse]
 
 

@@ -93,16 +93,7 @@ def sample_env_path(model: EnvironmentModel, n: int, rng: RandomStream) -> EnvPa
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     means = model.sample_means(rng, size=n)
-    cache: dict[float, OffspringLaw] = {}
-    laws = []
-    for m in means:
-        key = float(m)
-        law = cache.get(key)
-        if law is None:
-            law = model.law_for_mean(key)
-            cache[key] = law
-        laws.append(law)
-    return EnvPath.from_laws(laws)
+    return EnvPath.from_laws(model.law_for_mean(float(m)) for m in means)
 
 
 def _backward_survival(path: EnvPath) -> np.ndarray:
@@ -299,21 +290,10 @@ def estimate_survival_gf(
         lanes = min(_engines.BATCH_SIZE, remaining)
         stream_id = stream_base + batch_index
         if isinstance(model.family, LinearFractionalFamily):
-            values, flagged = _engines.gf_lf_batch(
-                model, lanes, seed, stream_id, tol_q, tol_mu, n_max
-            )
-        elif model.noise == TWO_POINT:
-            values, flagged = _engines.gf_two_point_batch(
-                model, lanes, seed, stream_id, tol_q, tol_mu, n_max
-            )
+            engine = _engines.gf_lf_batch
         else:
-            stream = RandomStream(seed, stream_id)
-            out = [
-                _engines.gf_scalar_path(model, stream, tol_q, tol_mu, n_max)
-                for _ in range(lanes)
-            ]
-            values = np.array([v for v, _, _ in out])
-            flagged = np.array([f for _, f, _ in out], dtype=bool)
+            engine = _engines.gf_replay_batch
+        values, flagged = engine(model, lanes, seed, stream_id, tol_q, tol_mu, n_max)
         total = float(np.sum(values))
         batches.append((lanes, total, float(np.sum((values - total / lanes) ** 2))))
         n_flagged += int(np.count_nonzero(flagged))

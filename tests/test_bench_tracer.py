@@ -13,7 +13,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import tracing  # noqa: E402
 
 # Filled by the run as a whole (a 16,384-lane eps = 0.01 batch, the
-# uniform/two-point timing pair, the untraced passes), never by one call.
+# uniform/two-point timing pair, the untraced passes), never by one call;
+# and the per-replicate time of the per-path oracle, which no estimator
+# calls.
 RUN_LEVEL = {
     "baseline.lf_batch.occupancy",
     "baseline.lf_batch.ns_per_lane_gen",
@@ -23,6 +25,7 @@ RUN_LEVEL = {
     "survival.uniform_over_two_point.poisson",
     "survival.uniform_over_two_point.finite",
     "trace.overhead_s",
+    "survival.scalar.ms_per_rep",
 }
 
 
@@ -52,6 +55,8 @@ def test_traced_layers_all_measured():
 
     metrics, unmeasured = tracer.layer_metrics(1, {})
     assert set(unmeasured) == RUN_LEVEL
+    assert metrics["survival.scalar.s"]["value"] == 0
+    assert metrics["survival.replay.lane_generations"]["value"] > 0
     assert metrics["survival.lf.generations"]["value"] > 0
     assert metrics["survival.lf.lane_generations"]["value"] > 0
     assert metrics["perpetuity.series.terms"]["value"] > 0

@@ -251,3 +251,95 @@ def test_assumption_check_uniform_ratio():
     report = assumption_check(model, delta=0.5)
     assert report.centered_ratio == pytest.approx(3.0**2.25 / 5.5, rel=1e-12)
     assert report.passed
+
+
+# ---------------------------------------------------------------------------
+# Family value equality and the vectorized tilt solve
+# ---------------------------------------------------------------------------
+
+FIVE_POINT = (0.1, 0.2, 0.3, 0.25, 0.15)
+
+
+def test_families_compare_and_hash_by_value():
+    pairs = [
+        (PoissonFamily(), PoissonFamily()),
+        (LinearFractionalFamily(0.3), LinearFractionalFamily(p0=0.3)),
+        (FinitePmfFamily((0.25, 0.5, 0.25)), FinitePmfFamily([0.25, 0.5, 0.25])),
+        (make_environment("poisson", 0.05, 0.025), make_environment("poisson", 0.05, 0.025)),
+        (make_environment("finite", 0.05, 0.025, template=FIVE_POINT),
+         make_environment("finite", 0.05, 0.025, template=list(FIVE_POINT))),
+    ]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b)
+    assert LinearFractionalFamily(0.3) != LinearFractionalFamily(0.4)
+    assert FinitePmfFamily((0.25, 0.5, 0.25)) != FinitePmfFamily(FIVE_POINT)
+    assert make_environment("linear_fractional", 0.05, 0.025, p0=0.3) != make_environment(
+        "linear_fractional", 0.05, 0.025, p0=0.4
+    )
+    assert make_environment("finite", 0.05, 0.025) != make_environment(
+        "finite", 0.05, 0.025, template=FIVE_POINT
+    )
+    assert PoissonFamily() != LinearFractionalFamily()
+    assert repr(FinitePmfFamily()) == "FinitePmfFamily(template=(0.25, 0.5, 0.25))"
+
+
+def _brentq_tilted_weights(template, m):
+    """Independent oracle: tilt solved by brentq on the tilted mean."""
+    from scipy.optimize import brentq
+
+    z = np.arange(len(template))
+    positive = np.asarray(template) > 0.0
+    log_w = np.log(np.where(positive, template, 1.0))
+
+    def weights(t):
+        logits = np.where(positive, log_w + z * t, -np.inf)
+        w = np.exp(logits - logits.max())
+        return w / w.sum()
+
+    t = brentq(lambda t: float(weights(t) @ z) - m, -60.0, 60.0, xtol=1e-15, rtol=8.9e-16)
+    return weights(t)
+
+
+@pytest.mark.parametrize("template, lo, hi", [((0.25, 0.5, 0.25), 0.6, 1.5), (FIVE_POINT, 0.6, 3.0)])
+def test_tilt_solve_matches_brentq_oracle(template, lo, hi):
+    family = FinitePmfFamily(template)
+    means = np.linspace(lo, hi, 97)
+    weights = family.tilted_weights(family.law_params(means))
+    oracle = np.array([_brentq_tilted_weights(template, m) for m in means])
+    positive = oracle > 0.0
+    assert np.all(weights[~positive] == 0.0)
+    assert np.max(np.abs(weights - oracle)[positive] / oracle[positive]) <= 1e-14
+    for m in means[::8]:
+        assert family.law_for_mean(float(m)).mean() == pytest.approx(m, rel=1e-14)
+
+
+@pytest.mark.parametrize("template", [(0.25, 0.5, 0.25), FIVE_POINT])
+def test_tilt_solve_is_batch_independent(template):
+    """Converged rows are frozen and every operation is elementwise, so a
+    mean's tilt does not depend on which other means share its batch."""
+    family = FinitePmfFamily(template)
+    rng = np.random.default_rng(4)
+    k = len(template) - 1
+    means = np.concatenate([rng.uniform(0.01, k - 0.01, 3000), [family._mean, 1e-3, k - 1e-3]])
+    tilts = family.law_params(means)
+    for order in (rng.permutation(means.size), np.arange(means.size)[::-7]):
+        assert np.array_equal(family.law_params(means[order]), tilts[order])
+    for i in rng.choice(means.size, 25, replace=False):
+        assert family.law_params([means[i]])[0] == tilts[i]
+        assert family.law_for_mean(float(means[i])).weights == tuple(family.tilted_weights(tilts[i]))
+    assert np.array_equal(family.law_params(means[:3000].reshape(60, 50)), tilts[:3000].reshape(60, 50))
+
+
+def test_tilt_keeps_exact_template_at_template_mean():
+    template = FIVE_POINT
+    family = FinitePmfFamily(template)
+    mean = math.fsum(z * w for z, w in enumerate(template))
+    assert np.array_equal(family.law_params([mean, mean + 5e-16]), [0.0, 0.0])
+    assert family.law_for_mean(mean).weights == template
+    assert family.law_params([mean + 1e-9])[0] != 0.0
+    degenerate = FinitePmfFamily((0.0, 0.0, 1.0))
+    assert degenerate.law_for_mean(2.0).weights == (0.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="family mean domain"):
+        degenerate.law_for_mean(1.5)
+    with pytest.raises(ValueError, match="family mean domain"):
+        family.law_params([1.0, 4.0])

@@ -221,8 +221,8 @@ def test_gf_estimator_validation():
 
 
 def test_gf_engines_agree_across_families():
-    """The Moebius, bit-replay, and scalar fallback engines estimate the
-    same quantity: compare overlapping configurations statistically."""
+    """The annuity-sum and backward-replay engines estimate the same
+    quantity: compare overlapping configurations statistically."""
     lf = make_environment("linear_fractional", epsilon=0.05, nu=0.025)
     po = make_environment("poisson", epsilon=0.05, nu=0.025)
     r_lf = estimate_survival_gf(lf, n_reps=40_000, seed=41)
@@ -305,12 +305,142 @@ def test_gf_std_error_survives_tiny_spread():
 
 
 def test_gf_scalar_fallback_uniform_noise():
+    """Uniform noise goes through the replay engine: the estimate is near
+    its prediction and reproducible."""
     model = make_environment("poisson", epsilon=0.1, nu=0.02, noise="uniform")
     res = estimate_survival_gf(model, n_reps=300, seed=8)
     pred = haldane_prediction(RegimeParams.from_environment(model))
     assert res.estimate == pytest.approx(pred, rel=0.4)
     again = estimate_survival_gf(model, n_reps=300, seed=8)
     assert res == again
+
+
+# ---------------------------------------------------------------------------
+# The backward-replay engine on shared stored environments
+# ---------------------------------------------------------------------------
+
+FIVE_POINT = (0.1, 0.2, 0.3, 0.25, 0.15)
+FAMILIES = {
+    "poisson": {"family": "poisson"},
+    "finite": {"family": "finite"},
+    "finite5": {"family": "finite", "template": FIVE_POINT},
+    "lf": {"family": "linear_fractional", "p0": 0.5},
+}
+
+
+def _replay_inputs(model, rows, n, seed):
+    """A shared stored environment: the means of every lane-generation and
+    the matrix the replay reads (packed bits with the law table under
+    two-point noise, law parameters under uniform noise)."""
+    family = model.family
+    stream = rng_stream(seed, 0)
+    if model.noise == "two_point":
+        bits = stream.bits((rows, n))
+        lo, hi = model.support_means()
+        means = np.where(bits, hi, lo)
+        table = family.step_coefficients(family.law_params(model.support_means()))
+        return means, bits, table, np.packbits(bits, axis=1, bitorder="little")
+    means = model.sample_means(stream, rows * n).reshape(rows, n)
+    return means, None, None, family.law_params(means)
+
+
+@pytest.mark.parametrize("noise", ["two_point", "uniform"])
+@pytest.mark.parametrize("name", ["poisson", "finite", "finite5"])
+def test_replay_matches_law_by_law_recursion(name, noise):
+    """Per path, the replay equals the scalar survival_map recursion over
+    the laws of the same stored means, for horizons n and n-1."""
+    model = make_environment(epsilon=0.05, nu=0.05, noise=noise, **FAMILIES[name])
+    rows, n = 12, 301
+    means, _, table, env = _replay_inputs(model, rows, n, seed=5)
+    u, v = _engines._survival_backward_pair(model.family, table, env, n)
+    for i in range(rows):
+        laws = [model.law_for_mean(float(m)) for m in means[i]]
+        r = r_short = 1.0
+        for law in reversed(laws):
+            r = law.survival_map(r)
+        for law in reversed(laws[:-1]):
+            r_short = law.survival_map(r_short)
+        assert abs(u[i] - r) <= 1e-12 * r
+        assert abs(v[i] - r_short) <= 1e-12 * r_short
+
+
+def _two_law_recursion(law_lo, law_hi, bits, n):
+    """Reference replay over unpacked bits: both laws on every lane, then a
+    select."""
+    u = np.ones(bits.shape[0])
+    v = np.ones(bits.shape[0])
+    for k in range(n - 1, -1, -1):
+        col = bits[:, k]
+        u = np.where(col, law_hi.survival_map(u), law_lo.survival_map(u))
+        if k < n - 1:
+            v = np.where(col, law_hi.survival_map(v), law_lo.survival_map(v))
+    return u, v
+
+
+@pytest.mark.parametrize("n", [1, 7, 64, 333])
+@pytest.mark.parametrize("name", ["poisson", "finite", "finite5"])
+def test_packed_replay_bitwise_equals_two_law_recursion(name, n):
+    model = make_environment(epsilon=0.05, nu=0.05, **FAMILIES[name])
+    _, bits, table, env = _replay_inputs(model, 40, n, seed=6)
+    laws = [model.law_for_mean(m) for m in model.support_means()]
+    u, v = _engines._survival_backward_pair(model.family, table, env, n)
+    u_ref, v_ref = _two_law_recursion(*laws, bits, n)
+    assert np.array_equal(u, u_ref) and np.array_equal(v, v_ref)
+
+
+@pytest.mark.parametrize("noise", ["two_point", "uniform"])
+@pytest.mark.parametrize("name", ["poisson", "finite5"])
+def test_replay_engine_matches_scalar_oracle_per_lane(name, noise):
+    """A one-lane batch reads the stream exactly as the per-path oracle
+    does, so value, flag and stopping rules must agree lane for lane."""
+    model = make_environment(epsilon=0.05, nu=0.05, noise=noise, **FAMILIES[name])
+    flagged = []
+    for stream_id in range(12):
+        n_max = 300 if stream_id % 3 == 0 else 100_000  # these lanes hit n_max
+        values, flags = _engines.gf_replay_batch(model, 1, 11, stream_id, 1e-8, 1e-6, n_max)
+        r, flag, _ = _engines.gf_scalar_path(model, rng_stream(11, stream_id), 1e-8, 1e-6, n_max)
+        assert flags[0] == flag
+        assert abs(values[0] - r) <= 1e-12 * r
+        flagged.append(flag)
+    assert any(flagged) and not all(flagged)
+
+
+def test_gf_two_point_values_pinned():
+    """Pinned two-point outputs (stream use and replay arithmetic); they
+    may change only with an announced change of stream use."""
+    res = estimate_survival_gf(make_environment("poisson", 0.05, 0.025), n_reps=512, seed=3)
+    assert (res.estimate, res.std_error, res.n_flagged) == (
+        0.07157579300920744, 0.0017518476004960031, 0
+    )
+    res = estimate_survival_gf(make_environment("finite", 0.05, 0.025), n_reps=512, seed=3)
+    assert res.estimate == pytest.approx(0.13849656226860163, rel=1e-13)
+
+
+@pytest.mark.parametrize("noise, lanes, horizon, nbytes", [
+    ("two_point", 64, 256, 64 * 256 // 8),
+    ("uniform", 64, 256, 64 * 256 * 8),
+])
+def test_horizon_storage_guard_counts_bytes(monkeypatch, noise, lanes, horizon, nbytes):
+    model = make_environment("poisson", 0.05, 0.025, noise=noise)
+    monkeypatch.setattr(_engines, "_MAX_BITS_BYTES", nbytes - 1)
+    message = f"{lanes} live lanes to horizon {horizon} needs {nbytes} bytes"
+    with pytest.raises(_engines.HorizonStorageError, match=message):
+        estimate_survival_gf(model, n_reps=lanes, seed=2)
+    monkeypatch.setattr(_engines, "_MAX_BITS_BYTES", nbytes)
+    with pytest.raises(_engines.HorizonStorageError, match=f"to horizon {2 * horizon} "):
+        estimate_survival_gf(model, n_reps=lanes, seed=2)
+
+
+def test_gf_never_falls_back_to_the_scalar_path(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("gf_scalar_path is a test oracle, not an estimator route")
+
+    monkeypatch.setattr(_engines, "gf_scalar_path", refuse)
+    for name in ("poisson", "finite", "lf"):
+        for noise in ("two_point", "uniform"):
+            model = make_environment(epsilon=0.05, nu=0.025, noise=noise, **FAMILIES[name])
+            res = estimate_survival_gf(model, n_reps=64, seed=4)
+            assert 0.0 < res.estimate < 1.0 and res.n_flagged == 0
 
 
 # ---------------------------------------------------------------------------
