@@ -50,7 +50,8 @@ EXTINCTION_FLOOR = 1e-15
 _CHECK_EVERY = 8
 
 # Storage guard for the replay engine's environment matrix (bytes per
-# batch): 1/8 byte per lane-generation packed, 8 bytes as float64.
+# batch): 1/8 byte per lane-generation packed, 8 bytes as float64.  Growing
+# the matrix copies it, so the old and the new matrix count together.
 _MAX_BITS_BYTES = 1 << 29
 
 
@@ -236,13 +237,13 @@ def gf_replay_batch(
         target = min(checkpoint, n_max)
         cols = (target + 7) // 8 if packed else target
         if cols > env.shape[1]:
-            nbytes = idx.size * cols * env.itemsize
+            nbytes = idx.size * (env.shape[1] + cols) * env.itemsize
             if nbytes > _MAX_BITS_BYTES:
                 raise HorizonStorageError(
                     f"environment storage for {idx.size} live lanes to horizon {target} "
-                    f"needs {nbytes} bytes, over the budget of {_MAX_BITS_BYTES}; lower "
-                    "n_max or the replicates per batch, or use a linear-fractional family "
-                    "for deep subcritical horizons"
+                    f"needs {nbytes} bytes (old and grown matrix), over the budget of "
+                    f"{_MAX_BITS_BYTES}; lower n_max or the replicates per batch, or use a "
+                    "linear-fractional family for deep subcritical horizons"
                 )
             grown = np.zeros((idx.size, cols), dtype=env.dtype)
             grown[:, :env.shape[1]] = env

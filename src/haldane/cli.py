@@ -6,7 +6,7 @@ Subcommands:
 * ``sweep``      -- convenience multi-epsilon wrapper over ``survival``;
 * ``perpetuity`` -- regime, limit-law fit, and annuity diagnostics of a
                     coefficient specification;
-* ``verify``     -- the invariant suite (``--level fast`` or ``full``).
+* ``verify``     -- the check registry (``--level fast``, or ``full`` with A1..A8).
 
 Configuration is a flat ``key = value`` text file plus the overrides
 ``--seed``, ``--reps``, ``--out``; ``--json`` mirrors the CSV rows into a
@@ -390,11 +390,12 @@ def cmd_perpetuity(args) -> int:
 
 def cmd_verify(args) -> int:
     outcomes = run_checks(args.level)
-    name_width = max(len(o.name) for o in outcomes)
+    labels = [f"{o.name} ({o.aid})" if o.aid else o.name for o in outcomes]
+    name_width = max(len(label) for label in labels)
     anchor_width = min(56, max(len(o.anchor) for o in outcomes))
-    for o in outcomes:
+    for label, o in zip(labels, outcomes):
         status = "PASS" if o.passed else "FAIL"
-        print(f"{o.name:<{name_width}}  {o.anchor:<{anchor_width}.{anchor_width}}  {status}  "
+        print(f"{label:<{name_width}}  {o.anchor:<{anchor_width}.{anchor_width}}  {status}  "
               f"[{o.seconds:7.2f}s]  {o.detail}")
     failed = [o for o in outcomes if not o.passed]
     print(f"\n{len(outcomes) - len(failed)}/{len(outcomes)} checks passed")

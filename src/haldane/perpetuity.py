@@ -28,7 +28,7 @@ from scipy.optimize import minimize_scalar
 from ._engines import _CHECK_EVERY
 from .environment import UNIFORM, EnvironmentModel, LinearFractionalFamily, PoissonFamily
 from .offspring import FinitePmf
-from .numerics import InverseGammaParams, RandomStream, invgamma_cdf, ks_two_sample
+from .numerics import InverseGammaParams, RandomStream, invgamma_cdf, ks_one_sample, ks_two_sample
 
 __all__ = [
     "ConstantLaw",
@@ -466,10 +466,11 @@ def limit_fit_test(
         )
     scaled = regime.gamma * y
 
-    def cdf(x: float) -> float:
-        return invgamma_cdf(limit, x) if x > 0.0 else 0.0
-
-    from .numerics import ks_one_sample
+    def cdf(x: np.ndarray) -> np.ndarray:
+        f = np.zeros_like(x)
+        positive = x > 0.0
+        f[positive] = invgamma_cdf(limit, x[positive])
+        return f
 
     return FitResult(
         limit=limit,

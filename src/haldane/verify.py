@@ -1,9 +1,16 @@
-"""Executable invariant suite behind ``haldane verify``.
+"""One registry of named checks behind ``haldane verify`` and the
+acceptance criteria A1..A8.
 
-Each check is registered with a stable name and a mathematical anchor (the
-identity or bound it exercises); ``run_checks`` executes a level ("fast"
-runs the invariant checks in about a minute, "full" appends the acceptance
-criteria) and returns structured outcomes for the CLI to render.
+Each entry of ``CHECKS`` has a stable name, a mathematical anchor (the
+identity or bound it exercises) and, if it is an acceptance criterion, its
+id.  ``--level fast`` runs the invariant checks in about a minute;
+``--level full`` runs every entry once, the criteria at their full size:
+three invariant checks are criteria at full size (``representation-identity``
+is A5, ``laplace-ode`` A6, ``expansion-decay`` A7) and enforce the
+conditions of both sizes there, and A1-A4 and A8 run at full level only.
+Tolerances are fixed here, not calibrated at run time; every check is
+statistical at most and fully seeded, so outcomes are reproducible.
+``tests/test_acceptance.py`` asserts each criterion.
 """
 
 from __future__ import annotations
@@ -11,10 +18,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
+from scipy.optimize import brentq
 
-from . import acceptance
 from .environment import RegimeParams, analytic_moments, expansion_check, make_environment
 from .numerics import (
     InverseGammaParams,
@@ -29,17 +38,27 @@ from .numerics import (
     upper_reg_gamma,
 )
 from .offspring import FinitePmf, LinearFractional, Poisson
-from .perpetuity import from_environment, regime_of, sample_chain_batch, sample_series_batch
+from .perpetuity import (
+    annuity_residual,
+    from_environment,
+    limit_fit_test,
+    regime_of,
+    sample_chain_batch,
+    sample_series_batch,
+)
 from .survival import (
     backward_extinction,
     estimate_survival_gf,
     gw_fixed_point_survival,
+    haldane_prediction,
+    haldane_sweep,
     lf_exact_extinction,
     sample_env_path,
+    simulate_population,
     survival_identity,
 )
 
-__all__ = ["CheckOutcome", "run_checks", "FAST_CHECKS"]
+__all__ = ["CHECKS", "Check", "CheckOutcome", "run_check", "run_checks"]
 
 _SEED = 20260801
 _LAW_MATRIX = (
@@ -51,14 +70,33 @@ _LAW_MATRIX = (
     FinitePmf((0.4, 0.1, 0.3, 0.2)),
 )
 
+CheckFn = Callable[[], tuple[bool, str]]
+
+
+@dataclass(frozen=True)
+class Check:
+    """A named check.  ``fast`` runs it at ``--level fast`` (None: full
+    level only) and ``full`` at ``--level full`` (None: as at fast); each
+    returns ``(passed, detail)``.  ``aid`` is the acceptance criterion
+    (``"A1"``..``"A8"``) that the full-level run is."""
+
+    name: str
+    anchor: str
+    fast: CheckFn | None
+    full: CheckFn | None = None
+    aid: str | None = None
+
 
 @dataclass(frozen=True)
 class CheckOutcome:
+    """One run of a check; ``aid`` is set when the run was a criterion."""
+
     name: str
     anchor: str
     passed: bool
     detail: str
     seconds: float
+    aid: str | None = None
 
 
 def _grid() -> np.ndarray:
@@ -176,19 +214,31 @@ def _check_env_moments_mc():
     return True, f"worst moment pull = {worst:.2f} sigma"
 
 
-def _check_expansion_decay():
-    eps_values = (1e-1, 1e-2, 1e-3)
-    slopes = []
-    for r in (1.0, 2.0):
-        errors = []
-        for eps in eps_values:
-            model = make_environment("poisson", epsilon=eps, nu=eps)
-            errors.append(expansion_check(model, r).abs_error)
-        slope = np.polyfit(np.log(eps_values), np.log(errors), 1)[0]
-        slopes.append(slope)
-        if slope < 1.5:
-            return False, f"r={r}: error decay exponent {slope:.2f} < 1.5"
-    return True, f"error decay exponents {[f'{s:.2f}' for s in slopes]}"
+def _check_expansion_decay(full: bool = False):
+    """Two-point noise with nu = eps: the errors of the inverse-moment
+    expansions for r in {1, 2} decay along eps in {1e-1, 1e-2, 1e-3} with
+    an empirical exponent of at least 1.5 (which covers A7's 1.4); at full
+    size (A7) the log-mean expansion eps - nu/2 joins with exponent 1.4."""
+    eps_values = np.array([1e-1, 1e-2, 1e-3])
+    series = [
+        ("r=1", lambda m: expansion_check(m, 1.0).abs_error, 1.5),
+        ("r=2", lambda m: expansion_check(m, 2.0).abs_error, 1.5),
+    ]
+    if full:
+        series.append(("log", lambda m: abs(m.log_moment() - (m.epsilon - m.nu / 2.0)), 1.4))
+    passed = True
+    details = []
+    for label, error_fn, min_slope in series:
+        errors = [
+            error_fn(make_environment("poisson", epsilon=float(eps), nu=float(eps)))
+            for eps in eps_values
+        ]
+        slope = float(np.polyfit(np.log(eps_values), np.log(errors), 1)[0])
+        scale = max(e / eps**1.5 for e, eps in zip(errors, eps_values))
+        details.append(f"{label}: exponent={slope:.2f}, max err/eps^1.5={scale:.2e}")
+        if slope < min_slope:
+            passed = False
+    return passed, "; ".join(details)
 
 
 def _check_log_mean_sign():
@@ -216,22 +266,27 @@ def _identity_models():
     )
 
 
-def _check_representation_identity():
-    rng = rng_stream(_SEED, 300)
+def _check_representation_identity(seed: int, stream_id: int, n_paths: int, max_horizon: int):
+    """``n_paths`` random environment paths per family with horizons up to
+    ``max_horizon``: the reciprocal-survival identity holds to a relative
+    1e-9 and the weighted shape series plus mean-inverse tail never drops
+    below 1 - 1e-12."""
+    rng = rng_stream(seed, stream_id)
     worst = 0.0
-    worst_floor = 0.0
+    floor = math.inf
+    counted = 0
     for model in _identity_models():
-        lengths = rng.generator.integers(1, 301, size=100)
+        lengths = rng.generator.integers(1, max_horizon + 1, size=n_paths)
         for n in lengths:
-            path = sample_env_path(model, int(n), rng)
-            ident = survival_identity(path)
+            ident = survival_identity(sample_env_path(model, int(n), rng))
             if ident.extinction_certain:
                 continue
+            counted += 1
             worst = max(worst, ident.identity_residual)
-            slack = ident.shape_series + ident.mean_inverse_tail - 1.0
-            worst_floor = min(worst_floor, slack)
-    ok = worst < 1e-9 and worst_floor >= -1e-12
-    return ok, f"max residual = {worst:.2e}, min (series + tail - 1) = {worst_floor:.2e}"
+            floor = min(floor, ident.shape_series + ident.mean_inverse_tail)
+    # the fast bound on (series + tail - 1) and A5's on (series + tail)
+    ok = worst < 1e-9 and floor - 1.0 >= -1e-12 and floor >= 1.0 - 1e-12
+    return ok, f"{counted} paths: max residual={worst:.2e}, min(series + tail)={floor:.15f}"
 
 
 def _check_extinction_monotone():
@@ -275,8 +330,6 @@ def _check_gw_oracle():
 # ---------------------------------------------------------------------------
 
 def _check_annuity_fixed_point():
-    from .perpetuity import annuity_residual
-
     n = 10_000
     threshold = ks_threshold(n, n, alpha=0.01)
     worst = 0.0
@@ -331,8 +384,7 @@ def _check_invgamma_cdf_pdf():
 
     for a, b in ((0.5, 2.0), (1.0, 2.0), (3.0, 2.0)):
         params = InverseGammaParams(a, b)
-        xs = np.linspace(0.05, 50.0, 200)
-        cdf = np.array([invgamma_cdf(params, x) for x in xs])
+        cdf = invgamma_cdf(params, np.linspace(0.05, 50.0, 200))
         if np.any(np.diff(cdf) < -1e-12):
             return False, f"(a={a}, b={b}): CDF not nondecreasing"
         mass, _ = integrate.quad(lambda x: invgamma_pdf(params, x), 1e-12, np.inf, limit=400)
@@ -342,25 +394,37 @@ def _check_invgamma_cdf_pdf():
     return check <= 1e-12, f"|cdf(1,2 at 2) - exp(-1)| = {check:.2e}"
 
 
-def _check_laplace_ode_grid():
+def _check_laplace_ode(full: bool = False):
+    """The quadrature Laplace transform of every inverse gamma law on the
+    grid satisfies lam h'' = (a-1) h' + b h to 1e-5.  At full size (A6) the
+    residual must also scale like step^2 (halving ratio in [3, 5] in the
+    regime where the differencing error dominates the quadrature error).
+
+    The grid uses spacing 3e-4: shapes below 1 steepen the transform's
+    derivatives near the origin, so the 1e-3 spacing adequate in the
+    interior overshoots the 1e-5 budget at the (0.5, *, 0.1) corner.
+    """
     worst = 0.0
     for a in (0.5, 1.0, 2.0, 5.0):
         for b in (0.5, 2.0):
             params = InverseGammaParams(a, b)
             for lam in (0.1, 0.5, 1.0, 2.0, 5.0):
-                # spacing 3e-4: small shapes steepen h near the origin
                 res = laplace_ode_residual(params, lam, 3e-4)
                 worst = max(worst, res)
                 if res >= 1e-5:
                     return False, f"(a={a}, b={b}, lam={lam}): residual {res:.2e}"
-    return True, f"max ODE residual = {worst:.2e}"
+    if not full:
+        return True, f"max ODE residual = {worst:.2e}"
+    params = InverseGammaParams(2.0, 1.0)
+    ratio = laplace_ode_residual(params, 1.0, 8e-3) / laplace_ode_residual(params, 1.0, 4e-3)
+    return 3.0 <= ratio <= 5.0, f"max grid residual={worst:.2e}; step-halving ratio={ratio:.2f}"
 
 
 def _check_ks_null():
     n = 10_000
     rng = rng_stream(_SEED, 500)
     u = rng.generator.random(n)
-    d = ks_one_sample(u, lambda x: min(max(x, 0.0), 1.0))
+    d = ks_one_sample(u, lambda x: np.clip(x, 0.0, 1.0))
     exact = ks_one_sample((np.arange(1, 101) - 0.5) / 100.0, lambda x: x)
     ok = d < ks_threshold(n, alpha=0.01) and abs(exact - 0.005) < 1e-12
     return ok, f"null KS = {d:.4f}; quantile-placed sample distance = {exact:.4f}"
@@ -388,8 +452,6 @@ def _check_haldane_prediction_table():
         (RegimeParams(epsilon=0.05, nu=0.05, rho=1.0, sigma_sq=1.0), 0.05),
         (RegimeParams(epsilon=0.05, nu=0.125, rho=2.5, sigma_sq=1.0), 0.0),
     )
-    from .survival import haldane_prediction
-
     for params, expected in cases:
         if abs(haldane_prediction(params) - expected) > 1e-15:
             return False, f"rho={params.rho}: wrong prediction"
@@ -401,55 +463,218 @@ def _check_haldane_prediction_table():
     return True, "2 eps/s^2, (2-rho) eps/s^2, 0, and the rho=2 boundary error"
 
 
-FAST_CHECKS = (
-    ("pgf-monotone-convex", "f nondecreasing and convex on [0,1], f(1)=1", _check_pgf_monotone_convex),
-    ("shape-bounds", "psi(0)/2 <= psi(s) <= 2 psi(1)", _check_shape_bounds),
-    ("shape-lf-constant", "psi constant for linear-fractional laws", _check_shape_lf_constant),
-    ("shape-defining-identity", "1/(1-f(s)) = 1/(m(1-s)) + psi(s)", _check_shape_defining_identity),
-    ("offspring-moments-mc", "sample mean/variance match f'(1), f''(1)+m-m^2", _check_offspring_moments_mc),
-    ("env-moments-mc", "closed-form env moments match sampling", _check_env_moments_mc),
-    ("expansion-decay", "E[mean^-r] = 1 - r eps + r(r+1)/2 nu + o(eps)", _check_expansion_decay),
-    ("log-mean-sign", "sign(E[log mean]) flips at rho = 2", _check_log_mean_sign),
-    ("representation-identity", "1/(1-q0) = 1/mu_n + sum psi_k+1(q_k+1)/mu_k", _check_representation_identity),
-    ("extinction-monotone", "q_0(n) nondecreasing in the horizon", _check_extinction_monotone),
-    ("lf-oracle-agreement", "backward composition matches Moebius closed form", _check_lf_oracle_agreement),
-    ("gw-fixed-point", "degenerate-environment estimate matches f(q)=q root", _check_gw_oracle),
-    ("annuity-fixed-point", "Y =(d) A + B Y", _check_annuity_fixed_point),
-    ("sampler-equivalence", "series and chain draws share one law", _check_sampler_equivalence),
-    ("perpetuity-mean", "E[Y] = E[A]/(1-E[B]) when E[B] < 1", _check_perpetuity_mean_identity),
-    ("gamma-complementarity", "P(a,x) + Q(a,x) = 1", _check_gamma_complementarity),
-    ("invgamma-cdf-pdf", "cdf(x) = Q(a, b/x); density integrates to 1", _check_invgamma_cdf_pdf),
-    ("laplace-ode", "lam h'' = (a-1) h' + b h", _check_laplace_ode_grid),
-    ("ks-statistics", "KS distance against null and exact placements", _check_ks_null),
-    ("stream-determinism", "same (seed, id) reproduces the stream", _check_stream_determinism),
-    ("stream-independence", "distinct stream ids are uncorrelated", _check_stream_independence),
-    ("haldane-prediction", "pi ~ (2-rho) eps/sigma^2 table", _check_haldane_prediction_table),
+# ---------------------------------------------------------------------------
+# Acceptance criteria that run at full level only
+# ---------------------------------------------------------------------------
+
+def _criterion_degenerate_env():
+    """Poisson family without environment noise: the estimator must hit the
+    classical fixed-point root of pi = 1 - exp(-(1+eps) pi), and the ratio
+    to 2*eps/sigma^2 must approach 1 from inside [0.85, 1.0].
+
+    With a degenerate environment the estimator has zero Monte Carlo
+    variance, so the fixed-point comparison uses a deterministic allowance
+    of 1e-5 covering the adaptive-horizon truncation of both sides.
+    """
+    ratios = []
+    details = []
+    passed = True
+    for eps in (0.1, 0.05, 0.02):
+        model = make_environment("poisson", epsilon=eps, nu=0.0)
+        res = estimate_survival_gf(model, n_reps=100_000, seed=101)
+        oracle = brentq(
+            lambda x: 1.0 - math.exp(-(1.0 + eps) * x) - x, 1e-12, 1.0, xtol=1e-15
+        )
+        gap = abs(res.estimate - oracle)
+        if gap > 3.0 * res.std_error + 1e-5:
+            passed = False
+        ratio = res.estimate / (2.0 * eps / 1.0)
+        ratios.append(ratio)
+        details.append(f"eps={eps}: gap={gap:.1e}, ratio={ratio:.4f}")
+    if not (0.85 <= ratios[-1] <= 1.0):
+        passed = False
+    if not (ratios[0] < ratios[1] < ratios[2]):
+        passed = False
+    return passed, "; ".join(details)
+
+
+def _criterion_intermediate_ratio():
+    """Linear-fractional family, two-point noise, rho = 1: ratios of the
+    closed-form composition estimate to (2-rho) eps/sigma^2 must approach 1
+    and lie within 25% at eps = 0.01 (one million replicates per point)."""
+    rows = haldane_sweep(
+        "linear_fractional", rho=1.0, eps_list=(0.05, 0.02, 0.01), n_reps=1_000_000, seed=202
+    )
+    ratios = [row.ratio for row in rows]
+    gaps = [abs(r - 1.0) for r in ratios]
+    passed = 0.75 <= ratios[-1] <= 1.25 and gaps[0] > gaps[1] > gaps[2]
+    detail = "; ".join(
+        f"eps={row.epsilon}: ratio={row.ratio:.4f} (se {row.result.std_error:.1e})" for row in rows
+    )
+    return passed, detail
+
+
+def _criterion_subcritical():
+    """rho = 3 at eps = 0.02: the exact mean log growth is negative and the
+    estimated survival vanishes (below 1e-3 with 1e5 replicates)."""
+    eps, rho = 0.02, 3.0
+    model = make_environment("linear_fractional", epsilon=eps, nu=rho * eps)
+    log_mean = model.log_moment()
+    closed_form = 0.5 * math.log((1.0 + eps) ** 2 - rho * eps)
+    res = estimate_survival_gf(model, n_reps=100_000, seed=303)
+    passed = (
+        log_mean < 0.0
+        and abs(log_mean - closed_form) < 1e-14
+        and res.estimate < 1e-3
+    )
+    detail = (
+        f"E[log mean]={log_mean:.6f} (closed form {closed_form:.6f}); "
+        f"pi_hat={res.estimate:.2e}, flagged={res.n_flagged}"
+    )
+    return passed, detail
+
+
+def _criterion_perpetuity_limit_laws():
+    """Environment-derived coefficients at rho = 1: gamma-rescaled series
+    draws match the inverse gamma law with shape 2*rho_hat+1 and scale
+    2*alpha built from the exact regime parameters (KS < 0.02 at
+    eps = 0.005 with 1e5 draws), with distances nonincreasing along the
+    sweep up to one 99% KS null quantile (the distances sit at the Monte
+    Carlo noise floor, so strict ordering is not observable).  The
+    degenerate regime concentrates: at least 99% of beta-rescaled draws
+    within 10% of alpha.
+    """
+    n = 100_000
+    allowance = ks_threshold(n, alpha=0.01)
+    distances = []
+    details = []
+    for i, eps in enumerate((0.05, 0.02, 0.01, 0.005)):
+        spec = from_environment(make_environment("poisson", epsilon=eps, nu=eps))
+        fit = limit_fit_test(spec, n, rng_stream(404, i), tol=1e-3)
+        distances.append(fit.ks_distance)
+        details.append(f"eps={eps}: KS={fit.ks_distance:.4f} (a={fit.limit.a:.4f})")
+    passed = distances[-1] < 0.02
+    for previous, current in zip(distances, distances[1:]):
+        if current > previous + allowance:
+            passed = False
+    if distances[-1] > distances[0] + allowance:
+        passed = False
+
+    dirac_spec = from_environment(make_environment("poisson", epsilon=0.005, nu=0.0))
+    dirac_fit = limit_fit_test(dirac_spec, 10_000, rng_stream(404, 99))
+    if dirac_fit.concentration < 0.99:
+        passed = False
+    details.append(f"degenerate concentration={dirac_fit.concentration:.4f}")
+    return passed, "; ".join(details)
+
+
+_CROSS_VALIDATION_MATRIX = (
+    ("poisson", 0.1, 0.0),
+    ("poisson", 0.05, 0.0),
+    ("poisson", 0.05, 0.5),
+    ("finite", 0.05, 0.5),
+    ("linear_fractional", 0.05, 1.0),
+    ("linear_fractional", 0.02, 1.0),
 )
 
 
+def _criterion_cross_validation():
+    """Population simulation and the generating-function estimator agree
+    within a joint five-sigma band on six configurations spanning the
+    vanishing and intermediate variance-ratio regimes (1e5 replicates
+    each)."""
+    passed = True
+    details = []
+    for i, (family, eps, rho) in enumerate(_CROSS_VALIDATION_MATRIX):
+        model = make_environment(family, epsilon=eps, nu=rho * eps)
+        gf = estimate_survival_gf(model, n_reps=100_000, seed=808, stream_base=i << 32)
+        pop = simulate_population(model, n_reps=100_000, seed=809, stream_base=i << 32)
+        joint = math.hypot(gf.std_error, pop.std_error)
+        pull = abs(gf.estimate - pop.estimate) / joint
+        if pull > 5.0 or pop.n_overrun:
+            passed = False
+        details.append(f"{family}/eps={eps}/rho={rho}: {pull:.2f} sigma")
+    return passed, "; ".join(details)
+
+
+# ---------------------------------------------------------------------------
+# The registry
+# ---------------------------------------------------------------------------
+
+CHECKS = (
+    Check("pgf-monotone-convex", "f nondecreasing and convex on [0,1], f(1)=1", _check_pgf_monotone_convex),
+    Check("shape-bounds", "psi(0)/2 <= psi(s) <= 2 psi(1)", _check_shape_bounds),
+    Check("shape-lf-constant", "psi constant for linear-fractional laws", _check_shape_lf_constant),
+    Check("shape-defining-identity", "1/(1-f(s)) = 1/(m(1-s)) + psi(s)", _check_shape_defining_identity),
+    Check("offspring-moments-mc", "sample mean/variance match f'(1), f''(1)+m-m^2", _check_offspring_moments_mc),
+    Check("env-moments-mc", "closed-form env moments match sampling", _check_env_moments_mc),
+    Check(
+        "expansion-decay",
+        "E[mean^-r] = 1 - r eps + r(r+1)/2 nu + o(eps); E[log mean] = eps - nu/2 + o(eps)",
+        _check_expansion_decay, partial(_check_expansion_decay, full=True), aid="A7",
+    ),
+    Check("log-mean-sign", "sign(E[log mean]) flips at rho = 2", _check_log_mean_sign),
+    Check(
+        "representation-identity", "1/(1-q0) = 1/mu_n + sum psi_k+1(q_k+1)/mu_k",
+        partial(_check_representation_identity, _SEED, 300, 100, 300),
+        partial(_check_representation_identity, 505, 0, 1000, 500), aid="A5",
+    ),
+    Check("extinction-monotone", "q_0(n) nondecreasing in the horizon", _check_extinction_monotone),
+    Check("lf-oracle-agreement", "backward composition matches Moebius closed form", _check_lf_oracle_agreement),
+    Check("gw-fixed-point", "degenerate-environment estimate matches f(q)=q root", _check_gw_oracle),
+    Check("annuity-fixed-point", "Y =(d) A + B Y", _check_annuity_fixed_point),
+    Check("sampler-equivalence", "series and chain draws share one law", _check_sampler_equivalence),
+    Check("perpetuity-mean", "E[Y] = E[A]/(1-E[B]) when E[B] < 1", _check_perpetuity_mean_identity),
+    Check("gamma-complementarity", "P(a,x) + Q(a,x) = 1", _check_gamma_complementarity),
+    Check("invgamma-cdf-pdf", "cdf(x) = Q(a, b/x); density integrates to 1", _check_invgamma_cdf_pdf),
+    Check(
+        "laplace-ode", "lam h'' = (a-1) h' + b h, h(0) = 1",
+        _check_laplace_ode, partial(_check_laplace_ode, full=True), aid="A6",
+    ),
+    Check("ks-statistics", "KS distance against null and exact placements", _check_ks_null),
+    Check("stream-determinism", "same (seed, id) reproduces the stream", _check_stream_determinism),
+    Check("stream-independence", "distinct stream ids are uncorrelated", _check_stream_independence),
+    Check("haldane-prediction", "pi ~ (2-rho) eps/sigma^2 table", _check_haldane_prediction_table),
+    Check(
+        "haldane-degenerate-env", "pi ~ 2 eps/sigma^2 (vanishing mean variance)",
+        None, _criterion_degenerate_env, aid="A1",
+    ),
+    Check(
+        "haldane-intermediate-ratio", "pi ~ (2-rho) eps/sigma^2 for rho in (0,2)",
+        None, _criterion_intermediate_ratio, aid="A2",
+    ),
+    Check(
+        "haldane-subcritical", "pi = 0 beyond the rho = 2 transition",
+        None, _criterion_subcritical, aid="A3",
+    ),
+    Check(
+        "perpetuity-limit-laws", "gamma Y ~ InvGamma(2 rho_hat + 1, 2 alpha); beta Y -> alpha",
+        None, _criterion_perpetuity_limit_laws, aid="A4",
+    ),
+    Check(
+        "estimator-cross-validation", "generating-function and population estimators target one pi",
+        None, _criterion_cross_validation, aid="A8",
+    ),
+)
+
+
+def run_check(check: Check, level: str) -> CheckOutcome:
+    """Run one check at ``level``; a crashed check is a failed check."""
+    full = level == "full"
+    fn = (check.full or check.fast) if full else check.fast
+    start = time.perf_counter()
+    try:
+        passed, detail = fn()
+    except Exception as exc:
+        passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+    return CheckOutcome(
+        check.name, check.anchor, bool(passed), detail, time.perf_counter() - start,
+        aid=check.aid if full else None,
+    )
+
+
 def run_checks(level: str = "fast") -> list[CheckOutcome]:
-    """Run the invariant suite; "full" appends the acceptance criteria."""
+    """Run every check of ``level`` ("fast" or "full") in registry order."""
     if level not in ("fast", "full"):
         raise ValueError(f"level must be 'fast' or 'full', got {level!r}")
-    outcomes = []
-    for name, anchor, fn in FAST_CHECKS:
-        start = time.perf_counter()
-        try:
-            passed, detail = fn()
-        except Exception as exc:  # a crashed check is a failed check
-            passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-        outcomes.append(
-            CheckOutcome(name, anchor, bool(passed), detail, time.perf_counter() - start)
-        )
-    if level == "full":
-        for result in acceptance.run_all():
-            outcomes.append(
-                CheckOutcome(
-                    name=result.cid.lower() + "-" + result.slug,
-                    anchor=result.anchor,
-                    passed=result.passed,
-                    detail=result.detail,
-                    seconds=result.seconds,
-                )
-            )
-    return outcomes
+    return [run_check(c, level) for c in CHECKS if c.fast or level == "full"]

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from haldane import verify
 from haldane.cli import main
 
 
@@ -187,10 +188,13 @@ def test_perpetuity_inadmissible_exit(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 def test_verify_fast_passes(capsys):
+    """One PASS row per fast check of the registry, in registry order."""
     assert main(["verify", "--level", "fast"]) == 0
-    out = capsys.readouterr().out
-    assert "representation-identity" in out
-    assert "PASS" in out and "FAIL" not in out
+    rows = capsys.readouterr().out.splitlines()
+    names = [c.name for c in verify.CHECKS if c.fast]
+    assert [row.split()[0] for row in rows[:len(names)]] == names
+    assert all("  PASS  " in row for row in rows[:len(names)])
+    assert rows[-1] == f"{len(names)}/{len(names)} checks passed"
 
 
 def test_verify_detects_corrupted_shape(monkeypatch, capsys):

@@ -1,7 +1,7 @@
-"""Numerics tests with independent oracles: scipy special functions for the
-incomplete gamma family, a local erfc series for the half-integer identity,
-Bessel closed forms and Monte Carlo for the Laplace transform, and
-scipy.stats for the KS statistics."""
+"""Numerics tests with independent oracles: closed forms and a local erfc
+series for the incomplete gamma family (itself scipy.special's), scipy.stats
+for the inverse gamma law, Bessel closed forms and Monte Carlo for the
+Laplace transform, and scipy.stats for the KS statistics."""
 
 import math
 
@@ -69,17 +69,6 @@ def test_gamma_domain_errors():
         lower_reg_gamma(1.0, -0.5)
 
 
-def test_gamma_against_scipy_grid():
-    for a in (0.1, 0.5, 1.0, 2.3, 7.0, 30.0):
-        for x in (0.0, 0.05, 0.7, 1.0, 3.1, 12.0, 80.0):
-            assert upper_reg_gamma(a, x) == pytest.approx(
-                float(special.gammaincc(a, x)), abs=1e-12
-            )
-            assert lower_reg_gamma(a, x) == pytest.approx(
-                float(special.gammainc(a, x)), abs=1e-12
-            )
-
-
 def test_gamma_complementarity():
     for a in (0.5, 1.0, 3.0, 10.0):
         for x in (0.01, 0.5, 1.0, 5.0, 20.0):
@@ -105,6 +94,17 @@ def test_invgamma_cdf_limits_and_domain():
         invgamma_pdf(params, -1.0)
     with pytest.raises(ValueError):
         InverseGammaParams(0.0, 1.0)
+
+
+def test_invgamma_cdf_on_arrays():
+    params = InverseGammaParams(2.3, 1.7)
+    x = np.concatenate([np.geomspace(1e-3, 1e4, 400), [0.25, 1.0, 7.5]])
+    values = invgamma_cdf(params, x)
+    assert values.shape == x.shape
+    scalar = np.array([invgamma_cdf(params, float(v)) for v in x])
+    assert np.array_equal(values, scalar)
+    with pytest.raises(ValueError):
+        invgamma_cdf(params, np.array([0.5, 0.0, 2.0]))
 
 
 def test_invgamma_matches_scipy():
@@ -167,7 +167,7 @@ def test_ks_one_sample_exact_quantiles():
 def test_ks_one_sample_matches_scipy():
     rng = rng_stream(8, 0)
     x = rng.generator.normal(size=500)
-    ours = ks_one_sample(x, lambda v: float(stats.norm.cdf(v)))
+    ours = ks_one_sample(x, stats.norm.cdf)
     theirs = float(stats.kstest(x, "norm").statistic)
     assert ours == pytest.approx(theirs, abs=1e-12)
 

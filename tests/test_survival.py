@@ -2,6 +2,7 @@
 identity, the closed-form composition oracle, estimators, and sweeps."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -429,6 +430,16 @@ def test_horizon_storage_guard_counts_bytes(monkeypatch, noise, lanes, horizon, 
     monkeypatch.setattr(_engines, "_MAX_BITS_BYTES", nbytes)
     with pytest.raises(_engines.HorizonStorageError, match=f"to horizon {2 * horizon} "):
         estimate_survival_gf(model, n_reps=lanes, seed=2)
+    # Growing to horizon 512 copies the matrix, so the old and the grown
+    # matrix count together: the grown matrix alone fits this budget, both
+    # do not.
+    monkeypatch.setattr(_engines, "_MAX_BITS_BYTES", 2 * nbytes)
+    with pytest.raises(_engines.HorizonStorageError, match=f"to horizon {2 * horizon} ") as info:
+        estimate_survival_gf(model, n_reps=lanes, seed=2)
+    live, needed = map(int, re.search(r"(\d+) live lanes .* needs (\d+) bytes", str(info.value)).groups())
+    per_lane_generation = nbytes / (lanes * horizon)
+    assert needed == live * 3 * horizon * per_lane_generation
+    assert live * 2 * horizon * per_lane_generation <= 2 * nbytes
 
 
 def test_gf_never_falls_back_to_the_scalar_path(monkeypatch):
