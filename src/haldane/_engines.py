@@ -50,8 +50,9 @@ EXTINCTION_FLOOR = 1e-15
 _CHECK_EVERY = 8
 
 # Storage guard for the replay engine's environment matrix (bytes per
-# batch): 1/8 byte per lane-generation packed, 8 bytes as float64.  Growing
-# the matrix copies it, so the old and the new matrix count together.
+# batch): 1/8 byte per lane-generation packed, 8 bytes as float64.  The
+# matrix counts twice: growing it copies it, and so do replaying a subset of
+# its rows and retiring lanes.
 _MAX_BITS_BYTES = 1 << 29
 
 
@@ -191,6 +192,39 @@ def _survival_backward_pair(family, table, env: np.ndarray, n: int):
     return uv[0], uv[1]
 
 
+def _draw_environment(model: EnvironmentModel, stream, env: np.ndarray, log_mu: np.ndarray,
+                      n: int, target: int, log_support) -> None:
+    """Draw generations n+1..target of every row of ``env`` into it and
+    add their log means to ``log_mu``.
+
+    Under two-point noise (``log_support`` holds the two log support
+    means) ``env`` takes the stream bits packed 8 to a byte, otherwise
+    (``log_support`` is None) one law parameter per generation.
+
+    Rows are drawn in chunks of a multiple of 32 rows whose draws take at
+    most 1/32 of the storage budget, so the chunk's temporaries fit in the
+    half of the budget that the guard keeps for a copy of the matrix.  A
+    chunk of bits then ends on a 32-bit word of the stream, so the chunks
+    read the stream exactly as one block would.
+    """
+    width = target - n
+    # a bool draw takes a byte, as does a packed matrix entry; a mean 8 bytes
+    rows = max(32, (_MAX_BITS_BYTES >> 5) // (width * env.itemsize) // 32 * 32)
+    for lo in range(0, env.shape[0], rows):
+        chunk = slice(lo, min(lo + rows, env.shape[0]))
+        count = chunk.stop - lo
+        if log_support is not None:
+            log_lo, log_hi = log_support
+            fresh = stream.bits((count, width))
+            n_hi = np.count_nonzero(fresh, axis=1)
+            log_mu[chunk] += n_hi * log_hi + (width - n_hi) * log_lo
+            env[chunk, n // 8:(target + 7) // 8] = np.packbits(fresh, axis=1, bitorder="little")
+        else:
+            means = model.sample_means(stream, size=count * width).reshape(count, width)
+            log_mu[chunk] += np.log(means).sum(axis=1)
+            env[chunk, n:target] = model.family.law_params(means)
+
+
 def gf_replay_batch(
     model: EnvironmentModel,
     n_lanes: int,
@@ -205,11 +239,11 @@ def gf_replay_batch(
     The environment of each lane is stored as it is drawn: under two-point
     noise one stream bit per generation, packed 8 to a byte; under uniform
     noise one float64 law parameter per generation (``family.law_params``
-    of the drawn mean), the means drawn as one (live lanes x width) block
-    per checkpoint.  At checkpoint horizons (powers of two times 256,
-    capped at ``n_max``) the backward survival recursion is replayed over
-    the stored matrix for lanes whose mean-growth condition is satisfied,
-    and converged lanes are retired.  Total backward work is at most about
+    of the drawn mean), drawn in row chunks at each checkpoint.  At
+    checkpoint horizons (powers of two times 256, capped at ``n_max``) the
+    backward survival recursion is replayed over the stored matrix for
+    lanes whose mean-growth condition is satisfied, and converged lanes are
+    retired.  Total backward work is at most about
     twice the forward work thanks to the doubling schedule.
     """
     family = model.family
@@ -218,10 +252,10 @@ def gf_replay_batch(
     log_floor = math.log(EXTINCTION_FLOOR)
     if packed:
         m_lo, m_hi = model.support_means()
-        log_lo, log_hi = math.log(m_lo), math.log(m_hi)
+        log_support = (math.log(m_lo), math.log(m_hi))
         table = family.step_coefficients(family.law_params([m_lo, m_hi]))
     else:
-        table = None
+        log_support = table = None
 
     stream = rng_stream(seed, stream_id)
     values = np.zeros(n_lanes)
@@ -237,11 +271,11 @@ def gf_replay_batch(
         target = min(checkpoint, n_max)
         cols = (target + 7) // 8 if packed else target
         if cols > env.shape[1]:
-            nbytes = idx.size * (env.shape[1] + cols) * env.itemsize
+            nbytes = 2 * idx.size * cols * env.itemsize
             if nbytes > _MAX_BITS_BYTES:
                 raise HorizonStorageError(
                     f"environment storage for {idx.size} live lanes to horizon {target} "
-                    f"needs {nbytes} bytes (old and grown matrix), over the budget of "
+                    f"needs {nbytes} bytes (the matrix and a copy), over the budget of "
                     f"{_MAX_BITS_BYTES}; lower n_max or the replicates per batch, or use a "
                     "linear-fractional family for deep subcritical horizons"
                 )
@@ -249,16 +283,7 @@ def gf_replay_batch(
             grown[:, :env.shape[1]] = env
             env = grown
 
-        width = target - n
-        if packed:
-            fresh = stream.bits((idx.size, width))
-            n_hi = np.count_nonzero(fresh, axis=1)
-            log_mu += n_hi * log_hi + (width - n_hi) * log_lo
-            env[:, n // 8:cols] = np.packbits(fresh, axis=1, bitorder="little")
-        else:
-            means = model.sample_means(stream, size=idx.size * width).reshape(idx.size, width)
-            log_mu += np.log(means).sum(axis=1)
-            env[:, n:target] = family.law_params(means)
+        _draw_environment(model, stream, env, log_mu, n, target, log_support)
         n = target
 
         # certain-extinction proxy: survival <= conditional mean population
@@ -267,8 +292,8 @@ def gf_replay_batch(
         check = ~extinct & (mu_ok | (n >= n_max))
         done = extinct.copy()
         if np.any(check):
-            checked = env if check.all() else env[check]
-            u, v = _survival_backward_pair(family, table, checked, n)
+            # the copy of the checked rows is freed before retiring copies env
+            u, v = _survival_backward_pair(family, table, env if check.all() else env[check], n)
             converged = (u < EXTINCTION_FLOOR) | (mu_ok[check] & (v - u < tol_q))
             rows = np.flatnonzero(check)
             values[idx[rows]] = u

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
-from scipy import integrate
 
 from .numerics import RandomStream
 from .offspring import FinitePmf, LinearFractional, OffspringLaw, Poisson, finite_tail_sum
@@ -416,6 +415,8 @@ class EnvironmentModel:
         if self.noise == TWO_POINT:
             m_lo, m_hi = self.mean_bounds()
             return 0.5 * (transform(m_lo) + transform(m_hi))
+        from scipy import integrate
+
         m_lo, m_hi = self.mean_bounds()
         value, _ = integrate.quad(transform, m_lo, m_hi, epsabs=1e-12, epsrel=1e-10, limit=200)
         return value / (m_hi - m_lo)

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from ._engines import _CHECK_EVERY
 from .environment import UNIFORM, EnvironmentModel, LinearFractionalFamily, PoissonFamily
@@ -274,6 +273,8 @@ def limit_law(regime: PerpetuityRegime) -> LimitLaw:
 def contraction_rate(spec: PerpetuitySpec) -> tuple[float, float]:
     """(u, theta) with E[B**u] = exp(-theta) < 1, by a bounded scalar
     minimization of the fractional moment over u in (0, 1)."""
+    from scipy.optimize import minimize_scalar
+
     result = minimize_scalar(
         lambda u: spec.b_power_mean(u),
         bounds=(1e-6, 1.0 - 1e-6),

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import _engines
 from .environment import (
@@ -212,6 +211,8 @@ def gw_fixed_point_survival(law: OffspringLaw) -> float:
         return 0.0
     if gap(1.0) >= 0.0:
         return 1.0
+    from scipy.optimize import brentq
+
     return float(brentq(gap, lo, 1.0, xtol=1e-15, rtol=8.9e-16))
 
 

@@ -22,7 +22,6 @@ from functools import partial
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .environment import RegimeParams, analytic_moments, expansion_check, make_environment
 from .numerics import (
@@ -395,10 +394,10 @@ def _check_invgamma_cdf_pdf():
 
 
 def _check_laplace_ode(full: bool = False):
-    """The quadrature Laplace transform of every inverse gamma law on the
-    grid satisfies lam h'' = (a-1) h' + b h to 1e-5.  At full size (A6) the
+    """The Laplace transform of every inverse gamma law on the grid
+    satisfies lam h'' = (a-1) h' + b h to 1e-5.  At full size (A6) the
     residual must also scale like step^2 (halving ratio in [3, 5] in the
-    regime where the differencing error dominates the quadrature error).
+    regime where the differencing error dominates the rounding error).
 
     The grid uses spacing 3e-4: shapes below 1 steepen the transform's
     derivatives near the origin, so the 1e-3 spacing adequate in the
@@ -476,6 +475,8 @@ def _criterion_degenerate_env():
     variance, so the fixed-point comparison uses a deterministic allowance
     of 1e-5 covering the adaptive-horizon truncation of both sides.
     """
+    from scipy.optimize import brentq
+
     ratios = []
     details = []
     passed = True

@@ -3,6 +3,7 @@ identity, the closed-form composition oracle, estimators, and sweeps."""
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -417,12 +418,15 @@ def test_gf_two_point_values_pinned():
     assert res.estimate == pytest.approx(0.13849656226860163, rel=1e-13)
 
 
-@pytest.mark.parametrize("noise, lanes, horizon, nbytes", [
+@pytest.mark.parametrize("noise, lanes, horizon, matrix_bytes", [
     ("two_point", 64, 256, 64 * 256 // 8),
     ("uniform", 64, 256, 64 * 256 * 8),
 ])
-def test_horizon_storage_guard_counts_bytes(monkeypatch, noise, lanes, horizon, nbytes):
+def test_horizon_storage_guard_counts_bytes(monkeypatch, noise, lanes, horizon, matrix_bytes):
+    # The matrix counts twice, because growing it, replaying a subset of its
+    # rows and retiring lanes each copy it.
     model = make_environment("poisson", 0.05, 0.025, noise=noise)
+    nbytes = 2 * matrix_bytes
     monkeypatch.setattr(_engines, "_MAX_BITS_BYTES", nbytes - 1)
     message = f"{lanes} live lanes to horizon {horizon} needs {nbytes} bytes"
     with pytest.raises(_engines.HorizonStorageError, match=message):
@@ -430,16 +434,61 @@ def test_horizon_storage_guard_counts_bytes(monkeypatch, noise, lanes, horizon, 
     monkeypatch.setattr(_engines, "_MAX_BITS_BYTES", nbytes)
     with pytest.raises(_engines.HorizonStorageError, match=f"to horizon {2 * horizon} "):
         estimate_survival_gf(model, n_reps=lanes, seed=2)
-    # Growing to horizon 512 copies the matrix, so the old and the grown
-    # matrix count together: the grown matrix alone fits this budget, both
-    # do not.
-    monkeypatch.setattr(_engines, "_MAX_BITS_BYTES", 2 * nbytes)
+    # The grown matrix alone fits this budget, twice over it does not.
+    monkeypatch.setattr(_engines, "_MAX_BITS_BYTES", 3 * matrix_bytes)
     with pytest.raises(_engines.HorizonStorageError, match=f"to horizon {2 * horizon} ") as info:
         estimate_survival_gf(model, n_reps=lanes, seed=2)
     live, needed = map(int, re.search(r"(\d+) live lanes .* needs (\d+) bytes", str(info.value)).groups())
-    per_lane_generation = nbytes / (lanes * horizon)
-    assert needed == live * 3 * horizon * per_lane_generation
-    assert live * 2 * horizon * per_lane_generation <= 2 * nbytes
+    per_lane_generation = matrix_bytes / (lanes * horizon)
+    assert needed == 2 * live * 2 * horizon * per_lane_generation
+    assert live * 2 * horizon * per_lane_generation <= 3 * matrix_bytes
+
+
+# Traced bytes per lane the replay may hold beyond its storage budget: the
+# 32-generation coefficient block of one replay step (256 bytes per lane for
+# the Poisson family) and the per-lane state vectors and masks.
+_REPLAY_BYTES_PER_LANE = 512
+
+
+@pytest.mark.parametrize("noise, lanes, budget", [
+    ("two_point", 1024, 1 << 20),
+    ("uniform", 256, 1 << 23),
+])
+def test_replay_peak_memory_within_storage_budget(monkeypatch, noise, lanes, budget):
+    """The replay's traced peak, while it draws, replays and retires lanes
+    up to the deepest horizon its guard admits, stays within the budget plus
+    a per-lane allowance: the environment draws come in chunks, and the
+    guard counts the copy of the checked rows."""
+    # rho = 2: the mean product drifts neither up nor down, so lanes stay live
+    model = make_environment("poisson", 0.02, 0.04, noise=noise)
+    # first-use allocations (the Philox seeding imports) stay out of the peak
+    _engines.gf_replay_batch(model, 64, 7, 1, 1e-8, 1e-6, 300)
+    monkeypatch.setattr(_engines, "_MAX_BITS_BYTES", budget)
+    tracemalloc.start()
+    try:
+        with pytest.raises(_engines.HorizonStorageError):
+            _engines.gf_replay_batch(model, lanes, 7, 0, 1e-8, 1e-6, 100_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget + _REPLAY_BYTES_PER_LANE * lanes
+
+
+@pytest.mark.parametrize("noise, lanes, budget, n_max", [
+    ("two_point", 333, 1 << 20, 3001),
+    ("uniform", 100, 1 << 22, 2001),
+])
+def test_replay_chunked_draws_read_the_stream_as_one_block(monkeypatch, noise, lanes, budget, n_max):
+    """A small budget splits every checkpoint's draws into chunks of 32 to
+    128 rows (the odd final width included); the outputs stay bitwise those
+    of one block per checkpoint."""
+    model = make_environment("poisson", 0.02, 0.02, noise=noise)
+    whole = _engines.gf_replay_batch(model, lanes, 5, 3, 1e-8, 1e-6, n_max)
+    monkeypatch.setattr(_engines, "_MAX_BITS_BYTES", budget)
+    chunked = _engines.gf_replay_batch(model, lanes, 5, 3, 1e-8, 1e-6, n_max)
+    assert whole[1].any()  # some lanes reach n_max, so every width is drawn
+    for a, b in zip(whole, chunked):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_gf_never_falls_back_to_the_scalar_path(monkeypatch):
