@@ -163,6 +163,9 @@ def gf_lf_batch(
 # block of packed bits starts on a byte).
 _REPLAY_BLOCK = 32
 
+# Set bits of each byte value.
+_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1, dtype=np.uint8)
+
 
 def _survival_backward_pair(family, table, env: np.ndarray, n: int):
     """Conditional survival of horizons n and n-1 over a stored environment.
@@ -201,6 +204,12 @@ def _draw_environment(model: EnvironmentModel, stream, env: np.ndarray, log_mu: 
     means) ``env`` takes the stream bits packed 8 to a byte, otherwise
     (``log_support`` is None) one law parameter per generation.
 
+    When ``n`` and ``width`` are multiples of 8 (every checkpoint but an
+    unaligned ``n_max``), a row's bits are whole bytes of the stream, so
+    the stream's packed bytes go into ``env`` as drawn and a popcount
+    table counts the high means; otherwise the bits are unpacked and
+    repacked row by row.
+
     Rows are drawn in chunks of a multiple of 32 rows whose draws take at
     most 1/32 of the storage budget, so the chunk's temporaries fit in the
     half of the budget that the guard keeps for a copy of the matrix.  A
@@ -208,17 +217,22 @@ def _draw_environment(model: EnvironmentModel, stream, env: np.ndarray, log_mu: 
     read the stream exactly as one block would.
     """
     width = target - n
-    # a bool draw takes a byte, as does a packed matrix entry; a mean 8 bytes
+    # a draw takes a byte unpacked, as a mean takes 8 (packed draws take 1/8)
     rows = max(32, (_MAX_BITS_BYTES >> 5) // (width * env.itemsize) // 32 * 32)
     for lo in range(0, env.shape[0], rows):
         chunk = slice(lo, min(lo + rows, env.shape[0]))
         count = chunk.stop - lo
         if log_support is not None:
             log_lo, log_hi = log_support
-            fresh = stream.bits((count, width))
-            n_hi = np.count_nonzero(fresh, axis=1)
+            if n % 8 == 0 and width % 8 == 0:
+                packed = stream.packed_bits(count * width)[:count * width // 8].reshape(count, -1)
+                n_hi = _POPCOUNT.take(packed).sum(axis=1, dtype=np.int64)
+            else:
+                fresh = stream.bits((count, width))
+                n_hi = np.count_nonzero(fresh, axis=1)
+                packed = np.packbits(fresh, axis=1, bitorder="little")
             log_mu[chunk] += n_hi * log_hi + (width - n_hi) * log_lo
-            env[chunk, n // 8:(target + 7) // 8] = np.packbits(fresh, axis=1, bitorder="little")
+            env[chunk, n // 8:(target + 7) // 8] = packed
         else:
             means = model.sample_means(stream, size=count * width).reshape(count, width)
             log_mu[chunk] += np.log(means).sum(axis=1)

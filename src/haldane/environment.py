@@ -24,7 +24,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .numerics import RandomStream
+from .numerics import RandomStream, two_point_octets
 from .offspring import FinitePmf, LinearFractional, OffspringLaw, Poisson, finite_tail_sum
 
 __all__ = [
@@ -363,21 +363,24 @@ class EnvironmentModel:
     # -- sampling -----------------------------------------------------------
 
     def sample_means(self, rng: RandomStream, size: int) -> np.ndarray:
-        """``size`` iid law means.  Two-point noise costs one stream bit
-        per mean and returns exactly the values of :meth:`mean_bounds`."""
+        """``size`` iid law means.
+
+        Two-point noise costs one stream bit per mean and returns exactly
+        the values of :meth:`mean_bounds`: the bits are read as whole
+        32-bit stream words (:meth:`RandomStream.packed_bits`) and each
+        byte expands to 8 means through one row of a 256-entry table.
+        Uniform noise costs one uniform per mean.
+        """
         if self.nu == 0.0:
             return np.full(size, 1.0 + self.epsilon)
         if self.noise == TWO_POINT:
-            # a table lookup: np.where on a fresh random mask mispredicts
-            return np.take(self._two_point_table, rng.bits(size).view(np.uint8))
+            return rng.two_point(self._two_point_octets, size)
         u = rng.generator.random(size)
         return 1.0 + self.epsilon + math.sqrt(self.nu) * ((2.0 * u - 1.0) * _SQRT3)
 
     @functools.cached_property
-    def _two_point_table(self) -> np.ndarray:
-        table = np.array(self.mean_bounds())
-        table.flags.writeable = False
-        return table
+    def _two_point_octets(self) -> np.ndarray:
+        return two_point_octets(*self.mean_bounds())
 
     # -- exact moments of the law mean ---------------------------------------
 

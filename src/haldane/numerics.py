@@ -34,6 +34,7 @@ __all__ = [
     "mean_reciprocal",
     "rng_stream",
     "summarize",
+    "two_point_octets",
     "upper_reg_gamma",
 ]
 
@@ -333,13 +334,46 @@ class RandomStream:
         """Next ``n`` uniforms on [0, 1)."""
         return self._gen.random(n)
 
+    def packed_bits(self, count: int) -> np.ndarray:
+        """Next ``count`` fair coin flips, flip k in bit ``k % 8`` (low bit
+        first) of byte ``k // 8``.
+
+        The flips are ``ceil(count / 32)`` whole 32-bit stream words as
+        little-endian bytes; bits past ``count`` are the unused rest of the
+        last word.  ``generator.integers(0, 2, count, dtype=bool)`` reads
+        the same words, low bit first, so its stream use is the same.
+        """
+        words = self._gen.integers(0, 2**32, -(-count // 32), dtype=np.uint32)
+        return words.astype("<u4", copy=False).view(np.uint8)
+
     def bits(self, size) -> np.ndarray:
         """Next fair coin flips as a boolean array of shape ``size``.
 
-        Each value costs one bit of the stream (numpy buffers bounded
-        boolean draws from 32-bit words), against 64 bits for a uniform.
+        The unpacked view of :meth:`packed_bits`, filled in C order: each
+        value costs one bit of the stream, against 64 bits for a uniform.
         """
-        return self._gen.integers(0, 2, size, dtype=bool)
+        shape = tuple(size) if np.ndim(size) else (int(size),)
+        count = math.prod(shape)
+        flips = np.unpackbits(self.packed_bits(count), count=count, bitorder="little")
+        return flips.view(bool).reshape(shape)
+
+    def two_point(self, octets: np.ndarray, size: int) -> np.ndarray:
+        """Next ``size`` draws of a two-point law, one stream bit each.
+
+        ``octets`` is a :func:`two_point_octets` table; each byte of
+        :meth:`packed_bits` selects its row, the values of 8 draws.
+        """
+        return octets.take(self.packed_bits(size), axis=0).reshape(-1)[:size]
+
+
+def two_point_octets(lo: float, hi: float) -> np.ndarray:
+    """Read-only (256, 8) table whose row b holds the draws that byte b of
+    :meth:`RandomStream.packed_bits` encodes: column k is ``hi`` where bit
+    k of b is set and ``lo`` where it is clear."""
+    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
+    table = np.where(bits.view(bool), hi, lo)
+    table.flags.writeable = False
+    return table
 
 
 def rng_stream(master_seed: int, stream_id: int) -> RandomStream:

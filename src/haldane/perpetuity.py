@@ -19,15 +19,20 @@ pair (A, B) = (limit shape value, reciprocal mean).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._engines import _CHECK_EVERY
-from .environment import UNIFORM, EnvironmentModel, LinearFractionalFamily, PoissonFamily
+from .environment import (
+    TWO_POINT, UNIFORM, EnvironmentModel, FinitePmfFamily, LinearFractionalFamily, PoissonFamily,
+)
 from .offspring import FinitePmf
-from .numerics import InverseGammaParams, RandomStream, invgamma_cdf, ks_one_sample, ks_two_sample
+from .numerics import (
+    InverseGammaParams, RandomStream, invgamma_cdf, ks_one_sample, ks_two_sample, two_point_octets,
+)
 
 __all__ = [
     "ConstantLaw",
@@ -113,7 +118,11 @@ class TwoPointLaw:
 
     def sample(self, rng: RandomStream, size: int) -> np.ndarray:
         """One stream bit per draw, mapped to exactly ``lo`` or ``hi``."""
-        return np.take(np.array([self.lo, self.hi]), rng.bits(size).view(np.uint8))
+        return rng.two_point(self._octets, size)
+
+    @functools.cached_property
+    def _octets(self) -> np.ndarray:
+        return two_point_octets(self.lo, self.hi)
 
 
 ScalarLaw = ConstantLaw | TwoPointLaw
@@ -127,8 +136,9 @@ def _limit_shape_values(model: EnvironmentModel, means: np.ndarray) -> np.ndarra
     """Shape-at-one of the family law, vectorized over realized means.
 
     The finite family has no closed form, so its shape is evaluated once
-    per distinct mean: from the model's two support laws under two-point
-    noise, and from one vectorized tilt solve under uniform noise.
+    per distinct mean: from one vectorized tilt solve under uniform noise,
+    and otherwise from ``model.law_for_mean`` (the model's own laws at its
+    support means).
     """
     family = model.family
     if isinstance(family, PoissonFamily):
@@ -204,8 +214,23 @@ class PerpetuitySpec:
     def sample_pairs(self, rng: RandomStream, size: int) -> tuple[np.ndarray, np.ndarray]:
         if self.model is not None:
             means = self.model.sample_means(rng, size=size)
-            return _limit_shape_values(self.model, means), 1.0 / means
+            if self._support_shapes is None:
+                return _limit_shape_values(self.model, means), 1.0 / means
+            m_hi, shapes = self._support_shapes
+            return shapes.take((means == m_hi).view(np.uint8)), 1.0 / means
         return self.a_law.sample(rng, size), self.b_law.sample(rng, size)
+
+    @functools.cached_property
+    def _support_shapes(self) -> tuple[float, np.ndarray] | None:
+        """``(m_hi, A at (m_lo, m_hi))`` for a finite family, whose A has no
+        closed form, under two-point noise; None otherwise."""
+        model = self.model
+        if model is None or model.noise != TWO_POINT or model.nu == 0.0:
+            return None
+        if not isinstance(model.family, FinitePmfFamily):
+            return None
+        support = model.support_means()
+        return support[1], np.array([model.law_for_mean(m).shape_at_one() for m in support])
 
 
 def from_environment(model: EnvironmentModel) -> PerpetuitySpec:

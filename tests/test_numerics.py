@@ -25,7 +25,7 @@ from haldane import (
     summarize,
     upper_reg_gamma,
 )
-from haldane.numerics import RandomStream, combine_batch_stats, ks_threshold
+from haldane.numerics import RandomStream, combine_batch_stats, ks_threshold, two_point_octets
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +279,54 @@ def test_stream_bits_fair_and_reproducible():
     assert np.array_equal(bits, rng_stream(5, 3).bits(n))
     assert not np.array_equal(bits[:100], rng_stream(5, 4).bits(100))
     assert rng_stream(5, 3).bits((3, 7)).shape == (3, 7)
+
+
+# Sizes around the byte (8) and stream word (32) boundaries.
+_BIT_SIZES = (0, 1, 3, 5, 7, 9, 31, 32, 33, 64, 100, 1000, 16384, 16385)
+
+
+@pytest.mark.parametrize("seed", [0, 17, 2**63 + 5])
+def test_packed_bits_read_the_stream_as_bool_draws(seed):
+    # The reference draws from an identical Philox stream: bounded boolean
+    # draws, 32 bits to a word, low bit first.  Between draws both streams
+    # serve 64-bit consumers (random, poisson) and 32-bit ones (permutation,
+    # small integers), which leave half a 64-bit output buffered.
+    stream = rng_stream(seed, 3)
+    reference = np.random.Generator(np.random.Philox(key=(3 << 64) | seed))
+    for size in _BIT_SIZES:
+        packed = stream.packed_bits(size)
+        assert packed.dtype == np.uint8 and packed.shape == (4 * -(-size // 32),)
+        expected = reference.integers(0, 2, size, dtype=bool)
+        assert np.array_equal(np.unpackbits(packed, count=size, bitorder="little").view(bool), expected)
+        assert np.array_equal(stream.bits(size), reference.integers(0, 2, size, dtype=bool))
+        assert np.array_equal(stream.bits((3, size)), reference.integers(0, 2, (3, size), dtype=bool))
+        for gen in (stream.generator, reference):
+            gen.random(3)
+            gen.permutation(size % 7 + 2)
+            gen.integers(0, 10)
+            gen.poisson(4.0, 2)
+            gen.integers(0, 10)
+    # counter, key, buffered outputs and the buffered 32-bit half
+    assert repr(stream.generator.bit_generator.state) == repr(reference.bit_generator.state)
+
+
+def test_two_point_octets_expand_every_byte():
+    lo, hi = 0.9, 1.1
+    table = two_point_octets(lo, hi)
+    assert table.shape == (256, 8) and not table.flags.writeable
+    for byte in range(256):
+        bits = np.unpackbits(np.array([byte], dtype=np.uint8), bitorder="little")
+        assert np.array_equal(table[byte], np.take(np.array([lo, hi]), bits))
+
+
+@pytest.mark.parametrize("size", [1, 7, 9, 31, 33, 100, 1001, 16385])
+def test_two_point_draws_match_a_bitwise_take(size):
+    lo, hi = 0.3, 1.7
+    stream, twin = rng_stream(4, size), rng_stream(4, size)
+    draws = stream.two_point(two_point_octets(lo, hi), size)
+    assert draws.shape == (size,)
+    assert np.array_equal(draws, np.take(np.array([lo, hi]), twin.bits(size).view(np.uint8)))
+    assert stream.generator.integers(0, 2**32) == twin.generator.integers(0, 2**32)
 
 
 def test_stream_validation():

@@ -416,6 +416,11 @@ def test_gf_two_point_values_pinned():
     )
     res = estimate_survival_gf(make_environment("finite", 0.05, 0.025), n_reps=512, seed=3)
     assert res.estimate == pytest.approx(0.13849656226860163, rel=1e-13)
+    # n_max = 300 is not a multiple of 8: the last draw is unaligned
+    res = estimate_survival_gf(make_environment("poisson", 0.05, 0.025), n_reps=512, seed=3, n_max=300)
+    assert (res.estimate, res.std_error, res.n_flagged) == (
+        0.07159124754394972, 0.0017518550593582816, 432
+    )
 
 
 @pytest.mark.parametrize("noise, lanes, horizon, matrix_bytes", [
