@@ -21,18 +21,12 @@ and the invariant verification suite; see the README.
 """
 
 from .environment import (
-    AssumptionReport,
     EnvironmentModel,
-    EnvMoments,
-    ExpansionCheck,
     FinitePmfFamily,
     LinearFractionalFamily,
     PoissonFamily,
     RegimeParams,
-    analytic_moments,
-    assumption_check,
     expansion_check,
-    family_from_name,
     make_environment,
     regime_classify,
 )
@@ -43,14 +37,11 @@ from .numerics import (
     invgamma_cdf,
     invgamma_laplace,
     invgamma_pdf,
-    invgamma_sample,
     ks_one_sample,
     ks_two_sample,
     laplace_ode_residual,
     lower_reg_gamma,
-    mean_reciprocal,
     rng_stream,
-    summarize,
     upper_reg_gamma,
 )
 from .offspring import FinitePmf, LinearFractional, OffspringLaw, Poisson
@@ -59,7 +50,6 @@ from .perpetuity import (
     DiracLimit,
     FitResult,
     InadmissibleRegimeError,
-    LimitLaw,
     PerpetuityRegime,
     PerpetuitySpec,
     TwoPointLaw,
@@ -68,8 +58,6 @@ from .perpetuity import (
     limit_fit_test,
     limit_law,
     regime_of,
-    sample_chain,
-    sample_series,
 )
 from .survival import (
     EnvPath,

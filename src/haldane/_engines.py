@@ -35,7 +35,7 @@ import numpy as np
 
 from .environment import TWO_POINT, EnvironmentModel
 from .numerics import rng_stream
-from .offspring import FinitePmf, LinearFractional, OffspringLaw, Poisson
+from .offspring import OffspringLaw
 
 BATCH_SIZE = 16384
 
@@ -384,8 +384,7 @@ def _offspring_sum_lf(gen, p0, p, z):
     total = n_pos.astype(np.int64).copy()
     has = n_pos > 0
     if np.any(has):
-        p_has = p[has] if np.ndim(p) else np.full(int(np.count_nonzero(has)), p)
-        total[has] += gen.negative_binomial(n_pos[has], 1.0 - p_has)
+        total[has] += gen.negative_binomial(n_pos[has], 1.0 - p[has])
     return total
 
 
@@ -410,8 +409,7 @@ def _offspring_sum_finite(gen, weights, z):
 
 
 def population_batch(
-    model,
-    fixed_law,
+    model: EnvironmentModel,
     n_lanes: int,
     seed: int,
     stream_id: int,
@@ -420,20 +418,15 @@ def population_batch(
 ):
     """Simulate one batch of populations until extinction or the cap.
 
-    Exactly one of ``model`` / ``fixed_law`` is set; a fixed law acts as a
-    degenerate environment.  Returns (survived, overrun) boolean arrays.
-    Lanes whose cumulative simulated individuals exceed ``max_individuals``
-    while undecided are counted as survived and flagged as overruns.
+    Each generation draws one law mean per live lane from ``model`` (a
+    constant environment is a model with ``nu = 0``).  Returns (survived,
+    overrun) boolean arrays.  Lanes whose cumulative simulated individuals
+    exceed ``max_individuals`` while undecided are counted as survived and
+    flagged as overruns.
     """
     stream = rng_stream(seed, stream_id)
     gen = stream.generator
-
-    if fixed_law is not None:
-        kind, law = _law_kind(fixed_law)
-    else:
-        family = model.family
-        kind = family.name
-        law = None
+    family = model.family
 
     survived = np.zeros(n_lanes, dtype=bool)
     overrun = np.zeros(n_lanes, dtype=bool)
@@ -442,7 +435,7 @@ def population_batch(
     work = np.zeros(n_lanes, dtype=np.int64)
 
     two_point_weights = None
-    if fixed_law is None and kind == "finite" and model.noise == TWO_POINT and model.nu > 0.0:
+    if family.name == "finite" and model.noise == TWO_POINT and model.nu > 0.0:
         m_lo, m_hi = model.support_means()
         two_point_weights = (
             np.asarray(model.law_for_mean(m_lo).weights),
@@ -450,31 +443,18 @@ def population_batch(
         )
 
     while idx.size:
-        rows = idx.size
-        if fixed_law is not None:
-            m = None
+        m = model.sample_means(stream, size=idx.size)
+        if family.name == "poisson":
+            z = _offspring_sum_poisson(gen, m, z)
+        elif family.name == "linear_fractional":
+            z = _offspring_sum_lf(gen, family.p0, 1.0 - (1.0 - family.p0) / m, z)
         else:
-            m = model.sample_means(stream, size=rows)
-
-        if kind == "poisson":
-            lam = law.lam if fixed_law is not None else m
-            z = _offspring_sum_poisson(gen, lam, z)
-        elif kind == "linear_fractional":
-            if fixed_law is not None:
-                p0, p = law.p0, law.p
-            else:
-                p0 = model.family.p0
-                p = 1.0 - (1.0 - p0) / m
-            z = _offspring_sum_lf(gen, p0, p, z)
-        else:
-            if fixed_law is not None:
-                weights = np.broadcast_to(np.asarray(law.weights), (rows, len(law.weights)))
-            elif two_point_weights is not None:
+            if two_point_weights is not None:
                 lo_w, hi_w = two_point_weights
                 hi_mask = m > (1.0 + model.epsilon)
                 weights = np.where(hi_mask[:, None], hi_w[None, :], lo_w[None, :])
             else:
-                weights = model.family.tilted_weights(model.family.law_params(m))
+                weights = family.tilted_weights(family.law_params(m))
             z = _offspring_sum_finite(gen, weights, z)
 
         work = work + z
@@ -488,13 +468,3 @@ def population_batch(
             keep = ~done
             idx, z, work = idx[keep], z[keep], work[keep]
     return survived, overrun
-
-
-def _law_kind(law: OffspringLaw):
-    if isinstance(law, Poisson):
-        return "poisson", law
-    if isinstance(law, LinearFractional):
-        return "linear_fractional", law
-    if isinstance(law, FinitePmf):
-        return "finite", law
-    raise TypeError(f"unsupported offspring law {law!r}")

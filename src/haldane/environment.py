@@ -28,18 +28,12 @@ from .numerics import RandomStream, two_point_octets
 from .offspring import FinitePmf, LinearFractional, OffspringLaw, Poisson, finite_tail_sum
 
 __all__ = [
-    "AssumptionReport",
-    "EnvMoments",
     "EnvironmentModel",
-    "ExpansionCheck",
     "FinitePmfFamily",
     "LinearFractionalFamily",
     "PoissonFamily",
     "RegimeParams",
-    "analytic_moments",
-    "assumption_check",
     "expansion_check",
-    "family_from_name",
     "make_environment",
     "regime_classify",
 ]
@@ -284,17 +278,6 @@ class FinitePmfFamily:
 OffspringFamily = PoissonFamily | LinearFractionalFamily | FinitePmfFamily
 
 
-def family_from_name(name: str, *, p0: float = 0.3, template=(0.25, 0.5, 0.25)) -> OffspringFamily:
-    """Family registry used by the CLI and convenience constructors."""
-    if name == "poisson":
-        return PoissonFamily()
-    if name == "linear_fractional":
-        return LinearFractionalFamily(p0=p0)
-    if name == "finite":
-        return FinitePmfFamily(template=template)
-    raise ValueError(f"unknown family {name!r}; expected poisson, linear_fractional, or finite")
-
-
 # ---------------------------------------------------------------------------
 # Environment model
 # ---------------------------------------------------------------------------
@@ -436,12 +419,18 @@ def make_environment(
 ) -> EnvironmentModel:
     """Construct a validated environment model.
 
-    ``family`` may be a family instance or one of the registered names
-    ("poisson", "linear_fractional", "finite"); ``p0`` and ``template``
-    only apply when a name is given.
+    ``family`` may be a family instance or one of the names "poisson",
+    "linear_fractional" and "finite"; ``p0`` and ``template`` only apply
+    when a name is given.
     """
-    if isinstance(family, str):
-        family = family_from_name(family, p0=p0, template=template)
+    if family == "poisson":
+        family = PoissonFamily()
+    elif family == "linear_fractional":
+        family = LinearFractionalFamily(p0=p0)
+    elif family == "finite":
+        family = FinitePmfFamily(template=template)
+    elif isinstance(family, str):
+        raise ValueError(f"unknown family {family!r}; expected poisson, linear_fractional, or finite")
     return EnvironmentModel(family=family, epsilon=epsilon, nu=nu, noise=noise)
 
 
@@ -492,103 +481,13 @@ def regime_classify(params: RegimeParams) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Moment reports
+# Moment expansion
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EnvMoments:
-    """Exact environment moments at the model's parameters."""
-
-    mean: float            # E[law mean]
-    variance: float        # Var(law mean)
-    inverse_moment: float  # E[law mean ** (-r)]
-    log_mean: float        # E[log law mean]
-    sigma_sq_limit: float  # annealed offspring variance at epsilon = nu = 0
-
-
-def analytic_moments(model: EnvironmentModel, r: float) -> EnvMoments:
-    """Closed-form environment moments; ``r`` must lie in [0, 4]."""
-    if not (0.0 <= r <= 4.0):
-        raise ValueError(f"need r in [0, 4], got {r}")
-    return EnvMoments(
-        mean=1.0 + model.epsilon,
-        variance=model.nu,
-        inverse_moment=model.inverse_moment(r),
-        log_mean=model.log_moment(),
-        sigma_sq_limit=model.family.sigma_sq_limit(),
-    )
-
-
-@dataclass(frozen=True)
-class ExpansionCheck:
-    """Exact inverse moment against its second-order small-parameter
-    expansion ``1 - r*eps + r(r+1)/2 * nu``."""
-
-    exact: float
-    expansion: float
-    abs_error: float
-
-
-def expansion_check(model: EnvironmentModel, r: float) -> ExpansionCheck:
+def expansion_check(model: EnvironmentModel, r: float) -> float:
+    """Absolute error of the second-order small-parameter expansion
+    ``1 - r*eps + r(r+1)/2 * nu`` of the exact inverse moment E[mean**(-r)]."""
     if not (0.0 <= r <= 2.0):
         raise ValueError(f"need r in [0, 2], got {r}")
-    exact = model.inverse_moment(r)
     expansion = 1.0 - r * model.epsilon + 0.5 * r * (r + 1.0) * model.nu
-    return ExpansionCheck(exact=exact, expansion=expansion, abs_error=abs(exact - expansion))
-
-
-def _raw_fourth_moment(law: OffspringLaw) -> float:
-    # E[X^4] from factorial moments via Stirling numbers of the second kind.
-    return (
-        law.factorial_moment(1)
-        + 7.0 * law.factorial_moment(2)
-        + 6.0 * law.factorial_moment(3)
-        + law.factorial_moment(4)
-    )
-
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    """Numeric health check of the moment conditions behind the limit
-    theorems, evaluated at the model's own parameters.
-
-    ``centered_ratio`` is E|mean - E mean|**(4+delta) / nu**(2+delta/2),
-    reported as 0 by convention for degenerate noise; ``ratio_bound`` is
-    its exact value for the model's noise kind (1 for two-point).
-    """
-
-    fourth_moment: float      # annealed E[offspring**4]
-    inverse_moment: float     # E[mean**-(4+delta)]
-    centered_ratio: float
-    ratio_bound: float
-    delta: float
-    passed: bool
-
-
-def assumption_check(model: EnvironmentModel, delta: float = 0.5) -> AssumptionReport:
-    fourth = model.mean_expectation(lambda m: _raw_fourth_moment(model.law_for_mean(m)))
-    inverse = model.inverse_moment(4.0 + delta)
-    if model.nu == 0.0:
-        ratio = 0.0
-        bound = 0.0
-    elif model.noise == TWO_POINT:
-        ratio = 1.0
-        bound = 1.0
-    else:
-        # E|zeta|^q for zeta uniform on [-sqrt 3, sqrt 3] is 3**(q/2)/(q+1).
-        q = 4.0 + delta
-        ratio = 3.0 ** (q / 2.0) / (q + 1.0)
-        bound = ratio
-    passed = (
-        math.isfinite(fourth)
-        and math.isfinite(inverse)
-        and ratio <= bound + 1e-9
-    )
-    return AssumptionReport(
-        fourth_moment=fourth,
-        inverse_moment=inverse,
-        centered_ratio=ratio,
-        ratio_bound=bound,
-        delta=delta,
-        passed=passed,
-    )
+    return abs(model.inverse_moment(r) - expansion)

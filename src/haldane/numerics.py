@@ -1,6 +1,7 @@
 """Numerical support layer: regularized incomplete gamma functions, the
-inverse-gamma distribution and its Laplace transform, Kolmogorov-Smirnov
-statistics, sample summaries, and deterministic splittable random streams.
+inverse-gamma distribution (CDF, density, Laplace transform), Kolmogorov-
+Smirnov statistics, the estimate type with its batch merge, and
+deterministic splittable random streams.
 
 Everything here is deliberately small: the incomplete gamma functions are
 ``scipy.special``'s behind domain checks, the Laplace transform is a Bessel
@@ -26,14 +27,11 @@ __all__ = [
     "invgamma_cdf",
     "invgamma_laplace",
     "invgamma_pdf",
-    "invgamma_sample",
     "ks_one_sample",
     "ks_two_sample",
     "laplace_ode_residual",
     "lower_reg_gamma",
-    "mean_reciprocal",
     "rng_stream",
-    "summarize",
     "two_point_octets",
     "upper_reg_gamma",
 ]
@@ -110,21 +108,6 @@ def invgamma_cdf(params: InverseGammaParams, x):
     if np.any(np.asarray(x) <= 0.0):
         raise ValueError(f"CDF argument must be positive, got x={x}")
     return upper_reg_gamma(params.a, params.b / x)
-
-
-def invgamma_sample(
-    params: InverseGammaParams, rng: "RandomStream", size: int | None = None
-) -> float | np.ndarray:
-    """Draws from the inverse gamma law as reciprocals of gamma variates."""
-    g = rng.generator.gamma(shape=params.a, scale=1.0 / params.b, size=size)
-    if size is None:
-        return 1.0 / float(g)
-    return 1.0 / g
-
-
-def mean_reciprocal(params: InverseGammaParams) -> float:
-    """E[1/W] for W inverse gamma, which is exactly a/b."""
-    return params.a / params.b
 
 
 def invgamma_laplace(params: InverseGammaParams, lam: float) -> float:
@@ -214,7 +197,7 @@ def ks_threshold(n: int, m: int | None = None, alpha: float = 0.01) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Sample summaries
+# Estimates
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -240,26 +223,6 @@ class EstimateResult:
             raise ValueError("standard error must be nonnegative")
         if not (self.ci_lo <= self.estimate <= self.ci_hi):
             raise ValueError("confidence interval must contain the estimate")
-
-
-def summarize(samples, *, seed: int = 0, n_flagged: int = 0, n_overrun: int = 0) -> EstimateResult:
-    """Mean, standard error, and 95% normal interval of a sample."""
-    x = np.asarray(samples, dtype=float)
-    if x.size < 2:
-        raise ValueError("need at least 2 samples to summarize")
-    mean = float(np.mean(x))
-    sd = float(np.std(x, ddof=1))
-    se = sd / math.sqrt(x.size)
-    return EstimateResult(
-        estimate=mean,
-        std_error=se,
-        ci_lo=mean - _Z_95 * se,
-        ci_hi=mean + _Z_95 * se,
-        n_reps=int(x.size),
-        seed=seed,
-        n_flagged=n_flagged,
-        n_overrun=n_overrun,
-    )
 
 
 def combine_batch_stats(batches, *, seed: int, n_flagged: int = 0, n_overrun: int = 0) -> EstimateResult:

@@ -35,8 +35,7 @@ __all__ = [
     "SUPPORT_CAP",
 ]
 
-# Larger supports would make the exact third/fourth factorial moments
-# vulnerable to double-precision rounding.
+# Largest offspring count a finite pmf may carry.
 SUPPORT_CAP = 64
 
 _WEIGHT_SUM_TOL = 1e-12
@@ -85,9 +84,6 @@ class Poisson:
     def variance(self) -> float:
         m = self.mean()
         return self.second_factorial_moment() + m - m * m
-
-    def factorial_moment(self, k: int) -> float:
-        return self.lam**k
 
     def shape(self, s):
         _check_unit_interval(s)
@@ -178,9 +174,6 @@ class LinearFractional:
     def variance(self) -> float:
         m = self.mean()
         return self.second_factorial_moment() + m - m * m
-
-    def factorial_moment(self, k: int) -> float:
-        return (1.0 - self.p0) * math.factorial(k) * self.p ** (k - 1) / (1.0 - self.p) ** k
 
     def shape(self, s):
         _check_unit_interval(s)
@@ -283,9 +276,6 @@ class FinitePmf:
     def variance(self) -> float:
         m = self.mean()
         return self.second_factorial_moment() + m - m * m
-
-    def factorial_moment(self, k: int) -> float:
-        return math.fsum(math.prod(range(z - k + 1, z + 1)) * w for z, w in enumerate(self.weights) if z >= k)
 
     def shape(self, s):
         if isinstance(s, float):

@@ -29,7 +29,6 @@ from ._engines import _CHECK_EVERY
 from .environment import (
     TWO_POINT, UNIFORM, EnvironmentModel, FinitePmfFamily, LinearFractionalFamily, PoissonFamily,
 )
-from .offspring import FinitePmf
 from .numerics import (
     InverseGammaParams, RandomStream, invgamma_cdf, ks_one_sample, ks_two_sample, two_point_octets,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "DiracLimit",
     "FitResult",
     "InadmissibleRegimeError",
-    "LimitLaw",
     "NonContractiveError",
     "PerpetuityRegime",
     "PerpetuitySpec",
@@ -49,9 +47,7 @@ __all__ = [
     "limit_fit_test",
     "limit_law",
     "regime_of",
-    "sample_chain",
     "sample_chain_batch",
-    "sample_series",
     "sample_series_batch",
 ]
 
@@ -135,22 +131,23 @@ ScalarLaw = ConstantLaw | TwoPointLaw
 def _limit_shape_values(model: EnvironmentModel, means: np.ndarray) -> np.ndarray:
     """Shape-at-one of the family law, vectorized over realized means.
 
-    The finite family has no closed form, so its shape is evaluated once
-    per distinct mean: from one vectorized tilt solve under uniform noise,
-    and otherwise from ``model.law_for_mean`` (the model's own laws at its
-    support means).
+    The finite family's shape f''(1)/(2 m^2) has no closed form in the
+    mean.  Under uniform noise it is computed on the rows of one vectorized
+    tilt solve; otherwise it is evaluated once per distinct mean from
+    ``model.law_for_mean`` (the model's own laws at its support means).
     """
     family = model.family
     if isinstance(family, PoissonFamily):
         return np.full(means.shape, 0.5)
     if isinstance(family, LinearFractionalFamily):
         return 1.0 / (1.0 - family.p0) - 1.0 / means
-    distinct, inverse = np.unique(means, return_inverse=True)
     if model.noise == UNIFORM and model.nu > 0.0:
-        laws = [FinitePmf(w) for w in family.tilted_weights(family.law_params(distinct))]
-    else:
-        laws = [model.law_for_mean(float(m)) for m in distinct]
-    shapes = np.array([law.shape_at_one() for law in laws])
+        weights = family.tilted_weights(family.law_params(means))
+        z = np.arange(weights.shape[-1])
+        m = (weights * z).sum(axis=-1)
+        return (weights * (z * (z - 1))).sum(axis=-1) / (2.0 * m * m)
+    distinct, inverse = np.unique(means, return_inverse=True)
+    shapes = np.array([model.law_for_mean(float(m)).shape_at_one() for m in distinct])
     return shapes[inverse]
 
 
@@ -277,10 +274,7 @@ class DiracLimit:
     alpha: float
 
 
-LimitLaw = DiracLimit | InverseGammaParams
-
-
-def limit_law(regime: PerpetuityRegime) -> LimitLaw:
+def limit_law(regime: PerpetuityRegime) -> DiracLimit | InverseGammaParams:
     """Limit of the rescaled series: a point mass at alpha when gamma is
     negligible (rho_hat infinite), otherwise the inverse gamma law with
     shape 2*rho_hat + 1 and scale 2*alpha."""
@@ -368,21 +362,6 @@ def sample_series_batch(
     return values, flags
 
 
-def sample_series(
-    spec: PerpetuitySpec,
-    rng: RandomStream,
-    *,
-    tol: float = 1e-6,
-    k_max: int = 200_000,
-) -> float:
-    """One draw of the series; raises if the truncation bound is not met
-    within ``k_max`` terms."""
-    values, flags = sample_series_batch(spec, 1, rng, tol=tol, k_max=k_max)
-    if flags[0]:
-        raise NonContractiveError(f"series tail bound still above tol after {k_max} terms")
-    return float(values[0])
-
-
 def default_burn_in(spec: PerpetuitySpec) -> int:
     """Smallest t with (E[B**u])**(t/u) < 1e-8: geometric forgetting of the
     zero initializer in the annuity recursion."""
@@ -400,26 +379,16 @@ def sample_chain_batch(
     burn_in: int | None = None,
 ) -> np.ndarray:
     """``n`` approximate stationary draws by iterating y <- A + B y from 0."""
+    regime_of(spec)  # admissibility gate, before the contraction rate
     if burn_in is None:
         burn_in = default_burn_in(spec)
     if burn_in < 1:
         raise ValueError(f"need burn_in >= 1, got {burn_in}")
-    regime_of(spec)  # admissibility gate
     y = np.zeros(n)
     for _ in range(burn_in):
         a, b = spec.sample_pairs(rng, n)
         y = a + b * y
     return y
-
-
-def sample_chain(
-    spec: PerpetuitySpec,
-    rng: RandomStream,
-    *,
-    burn_in: int | None = None,
-) -> float:
-    """One approximate stationary draw via the annuity recursion."""
-    return float(sample_chain_batch(spec, 1, rng, burn_in=burn_in)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +427,7 @@ class FitResult:
     ``k_max`` before its tail bound was met (truncated partial sums).
     """
 
-    limit: LimitLaw
+    limit: DiracLimit | InverseGammaParams
     scaled_by: str  # "gamma" | "beta"
     ks_distance: float | None
     concentration: float | None

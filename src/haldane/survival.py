@@ -307,24 +307,8 @@ def estimate_survival_gf(
 # Population simulation (validation oracle)
 # ---------------------------------------------------------------------------
 
-def _population_cap(source, cap_multiplier: float) -> int:
-    if isinstance(source, EnvironmentModel):
-        if source.epsilon <= 0.0:
-            raise ValueError("population simulation needs a supercritical model (epsilon > 0)")
-        if source.nu > 0.0 and source.nu / source.epsilon >= 2.0:
-            raise ValueError(
-                "population simulation is restricted to the supercritical "
-                f"regimes (rho < 2), got rho = {source.nu / source.epsilon}"
-            )
-        return max(2, math.ceil(cap_multiplier / source.epsilon))
-    excess = source.mean() - 1.0
-    if excess > 0.0:
-        return max(2, math.ceil(cap_multiplier / excess))
-    return 1000  # subcritical fixed law: extinction is certain, cap is moot
-
-
 def simulate_population(
-    source: EnvironmentModel | OffspringLaw,
+    model: EnvironmentModel,
     *,
     n_reps: int,
     seed: int,
@@ -339,17 +323,24 @@ def simulate_population(
     finite cap is bounded by (1 - pi)^K.  Per-generation offspring sums
     are drawn from their exact family laws (Poisson, binomial plus
     negative binomial, or a conditional-binomial multinomial chain), never
-    from normal approximations.  A fixed offspring law may be passed in
-    place of a model to simulate a constant environment.
+    from normal approximations.  A constant environment is a model with
+    ``nu = 0``.  The model must be supercritical (epsilon > 0, rho < 2).
 
     Replicates exceeding ``max_individuals`` simulated individuals while
     undecided are counted as survivors and reported in ``n_overrun``.
     """
+    if not isinstance(model, EnvironmentModel):
+        raise TypeError(f"need an EnvironmentModel (a fixed law is one with nu = 0), got {model!r}")
     if n_reps < 1:
         raise ValueError(f"need n_reps >= 1, got {n_reps}")
-    cap = _population_cap(source, cap_multiplier)
-    model = source if isinstance(source, EnvironmentModel) else None
-    fixed_law = None if model is not None else source
+    if model.epsilon <= 0.0:
+        raise ValueError("population simulation needs a supercritical model (epsilon > 0)")
+    if model.nu > 0.0 and model.nu / model.epsilon >= 2.0:
+        raise ValueError(
+            "population simulation is restricted to the supercritical "
+            f"regimes (rho < 2), got rho = {model.nu / model.epsilon}"
+        )
+    cap = max(2, math.ceil(cap_multiplier / model.epsilon))
 
     batches = []
     n_overrun = 0
@@ -358,7 +349,7 @@ def simulate_population(
     while remaining > 0:
         lanes = min(_engines.BATCH_SIZE, remaining)
         survived, overrun = _engines.population_batch(
-            model, fixed_law, lanes, seed, stream_base + batch_index, cap, max_individuals
+            model, lanes, seed, stream_base + batch_index, cap, max_individuals
         )
         total = float(np.count_nonzero(survived))
         batches.append((lanes, total, total - total * total / lanes))

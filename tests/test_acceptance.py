@@ -8,7 +8,6 @@ Each criterion gets its own test, named after its id and check name
 module finishes in about 22 s on a 2-core x86-64 host.
 """
 
-from types import SimpleNamespace
 
 from haldane import verify
 
@@ -73,9 +72,7 @@ def test_expansion_decay_keeps_fast_threshold(monkeypatch):
     """Errors decaying at exponent 1.45 meet A7's 1.4 but not the fast 1.5,
     so the merged check must fail at both sizes; only the full size (A7)
     fits the log-mean expansion too."""
-    monkeypatch.setattr(
-        verify, "expansion_check", lambda model, r: SimpleNamespace(abs_error=model.epsilon**1.45)
-    )
+    monkeypatch.setattr(verify, "expansion_check", lambda model, r: model.epsilon**1.45)
     check = next(c for c in verify.CHECKS if c.name == "expansion-decay")
     for level in ("fast", "full"):
         result = verify.run_check(check, level)

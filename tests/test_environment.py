@@ -1,6 +1,6 @@
 """Environment-model tests: construction invariants, exact moments against
-quadrature and Monte Carlo oracles, expansions, regimes, and the moment
-assumption checker."""
+quadrature and Monte Carlo oracles, expansions, regimes, and the vectorized
+tilt solve."""
 
 import math
 
@@ -13,8 +13,6 @@ from haldane import (
     LinearFractionalFamily,
     PoissonFamily,
     RegimeParams,
-    analytic_moments,
-    assumption_check,
     expansion_check,
     make_environment,
     regime_classify,
@@ -107,10 +105,10 @@ def test_sigma_sq_limits():
 def test_log_mean_sign_examples():
     # 0.5*log((1+eps)^2 - nu), positive for rho < 2 and negative beyond
     model = make_environment("poisson", epsilon=0.01, nu=0.02)
-    assert analytic_moments(model, 1.0).log_mean == pytest.approx(0.5 * math.log(1.0001), rel=1e-12)
+    assert model.log_moment() == pytest.approx(0.5 * math.log(1.0001), rel=1e-12)
     model = make_environment("poisson", epsilon=0.01, nu=0.03)
-    assert analytic_moments(model, 1.0).log_mean == pytest.approx(0.5 * math.log(0.9901), rel=1e-12)
-    assert analytic_moments(model, 1.0).log_mean < 0.0
+    assert model.log_moment() == pytest.approx(0.5 * math.log(0.9901), rel=1e-12)
+    assert model.log_moment() < 0.0
 
 
 def test_inverse_moment_degenerate():
@@ -142,20 +140,11 @@ def test_analytic_moments_match_sampling():
     for noise in ("two_point", "uniform"):
         model = make_environment("poisson", epsilon=0.03, nu=0.02, noise=noise)
         m = model.sample_means(rng_stream(11, 5), size=n)
-        mom = analytic_moments(model, 1.5)
-        assert float(np.mean(m)) == pytest.approx(mom.mean, abs=5 * float(np.std(m)) / math.sqrt(n))
+        assert float(np.mean(m)) == pytest.approx(1.03, abs=5 * float(np.std(m)) / math.sqrt(n))
         inv = m**-1.5
         assert float(np.mean(inv)) == pytest.approx(
-            mom.inverse_moment, abs=5 * float(np.std(inv)) / math.sqrt(n)
+            model.inverse_moment(1.5), abs=5 * float(np.std(inv)) / math.sqrt(n)
         )
-
-
-def test_analytic_moments_r_domain():
-    model = make_environment("poisson", epsilon=0.03, nu=0.02)
-    with pytest.raises(ValueError):
-        analytic_moments(model, 4.5)
-    with pytest.raises(ValueError):
-        analytic_moments(model, -0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -165,23 +154,21 @@ def test_analytic_moments_r_domain():
 def test_expansion_check_degenerate_exact():
     eps = 0.05
     model = make_environment("poisson", epsilon=eps, nu=0.0)
-    out = expansion_check(model, 1.0)
-    assert out.exact == pytest.approx(1 / (1 + eps), rel=1e-14)
-    assert out.expansion == pytest.approx(1 - eps, rel=1e-14)
-    assert out.abs_error == pytest.approx(eps**2 / (1 + eps), rel=1e-10)
+    # 1/(1 + eps) - (1 - eps) = eps^2/(1 + eps)
+    assert expansion_check(model, 1.0) == pytest.approx(eps**2 / (1 + eps), rel=1e-10)
 
 
 def test_expansion_error_order():
     # |exact - expansion| = O(eps^2) for the two-point closed form
     model = make_environment("poisson", epsilon=0.01, nu=0.01)
-    assert expansion_check(model, 2.0).abs_error < 10.0 * 0.01**1.5
+    assert expansion_check(model, 2.0) < 10.0 * 0.01**1.5
 
 
 def test_expansion_sweep_ratio():
     errors = []
     for eps in (1e-2, 1e-3):
         model = make_environment("poisson", epsilon=eps, nu=eps)
-        errors.append(expansion_check(model, 1.0).abs_error)
+        errors.append(expansion_check(model, 1.0))
     # at least the eps^1.5 decay claimed by the expansion remainder
     assert errors[1] <= errors[0] / 10**1.5
 
@@ -218,39 +205,6 @@ def test_regime_params_from_environment():
     params = RegimeParams.from_environment(model)
     assert params.rho == pytest.approx(0.5)
     assert params.sigma_sq == pytest.approx(2 * 0.3 / 0.7)
-
-
-# ---------------------------------------------------------------------------
-# Assumption checker
-# ---------------------------------------------------------------------------
-
-def _poisson_fourth_moment_oracle(lam: float) -> float:
-    # direct series sum of k^4 * pmf over a generous support
-    ks = np.arange(0, 200)
-    log_pmf = ks * math.log(lam) - lam - np.array([math.lgamma(k + 1) for k in ks])
-    return float(np.sum(np.exp(log_pmf) * ks**4.0))
-
-
-def test_assumption_check_two_point_ratio_exact():
-    model = make_environment("poisson", epsilon=0.02, nu=0.01)
-    report = assumption_check(model)
-    assert report.centered_ratio == pytest.approx(1.0, abs=1e-15)
-    assert report.passed
-
-
-def test_assumption_check_degenerate_convention():
-    model = make_environment("poisson", epsilon=0.05, nu=0.0)
-    report = assumption_check(model)
-    assert report.centered_ratio == 0.0
-    assert report.fourth_moment == pytest.approx(_poisson_fourth_moment_oracle(1.05), rel=1e-10)
-    assert report.passed
-
-
-def test_assumption_check_uniform_ratio():
-    model = make_environment("poisson", epsilon=0.02, nu=0.01, noise="uniform")
-    report = assumption_check(model, delta=0.5)
-    assert report.centered_ratio == pytest.approx(3.0**2.25 / 5.5, rel=1e-12)
-    assert report.passed
 
 
 # ---------------------------------------------------------------------------

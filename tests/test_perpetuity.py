@@ -24,8 +24,6 @@ from haldane import (
     make_environment,
     regime_of,
     rng_stream,
-    sample_chain,
-    sample_series,
 )
 from haldane.numerics import ks_threshold
 from haldane.perpetuity import (
@@ -79,6 +77,16 @@ def test_finite_shape_values_match_per_mean_loop(noise):
     means = model.sample_means(rng_stream(8, 0), size=200)
     expected = np.array([model.law_for_mean(float(m)).shape_at_one() for m in means])
     assert np.array_equal(_limit_shape_values(model, means), expected)
+
+
+def test_finite_shape_values_five_point_template():
+    # the vectorized uniform-noise shape sums five terms per row in another
+    # order than the per-law fsum, so it agrees to rounding, not bit for bit
+    template = (0.35, 0.3, 0.15, 0.1, 0.1)
+    model = make_environment("finite", epsilon=0.02, nu=0.02, noise="uniform", template=template)
+    means = model.sample_means(rng_stream(8, 1), size=2000)
+    expected = np.array([model.law_for_mean(float(m)).shape_at_one() for m in means])
+    np.testing.assert_allclose(_limit_shape_values(model, means), expected, rtol=1e-14, atol=0.0)
 
 
 def test_two_point_law_sample_exact_values():
@@ -136,6 +144,10 @@ def test_regime_inadmissible_two_point():
     spec = PerpetuitySpec(a_law=ConstantLaw(1.0), b_law=TwoPointLaw(0.8, 1.3))
     with pytest.raises(InadmissibleRegimeError):
         regime_of(spec)
+    # both samplers gate on admissibility before computing a contraction rate
+    for sampler in (sample_series_batch, sample_chain_batch):
+        with pytest.raises(InadmissibleRegimeError):
+            sampler(spec, 10, rng_stream(1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -163,19 +175,22 @@ def test_limit_law_region_error():
 
 def test_series_geometric():
     spec = PerpetuitySpec(a_law=ConstantLaw(1.0), b_law=ConstantLaw(0.5))
-    value = sample_series(spec, rng_stream(1, 0), tol=1e-9)
-    assert value == pytest.approx(2.0, abs=1e-8)
+    values, flags = sample_series_batch(spec, 1, rng_stream(1, 0), tol=1e-9)
+    assert not flags[0]
+    assert values[0] == pytest.approx(2.0, abs=1e-8)
 
 
 def test_series_zero_discount():
     spec = PerpetuitySpec(a_law=ConstantLaw(1.0), b_law=ConstantLaw(0.0))
-    assert sample_series(spec, rng_stream(1, 0)) == 1.0
+    values, flags = sample_series_batch(spec, 1, rng_stream(1, 0))
+    assert values[0] == 1.0 and not flags[0]
 
 
 def test_series_fixed_point_value_constant_spec():
     # the truncated sum must satisfy the annuity recursion up to tol
     spec = PerpetuitySpec(a_law=ConstantLaw(1.0), b_law=ConstantLaw(0.5))
-    y = sample_series(spec, rng_stream(1, 0), tol=1e-10)
+    (y,), flags = sample_series_batch(spec, 1, rng_stream(1, 0), tol=1e-10)
+    assert not flags[0]
     assert abs(y - (1.0 + 0.5 * y)) < 1e-10
 
 
@@ -184,7 +199,8 @@ def test_series_degenerate_env_mean_identity():
     model = make_environment("poisson", epsilon=0.01, nu=0.0)
     spec = from_environment(model)
     regime = regime_of(spec)
-    y = sample_series(spec, rng_stream(2, 0), tol=1e-10)
+    (y,), flags = sample_series_batch(spec, 1, rng_stream(2, 0), tol=1e-10)
+    assert not flags[0]
     assert regime.beta * y == pytest.approx(regime.alpha, rel=1e-6)
 
 
@@ -201,9 +217,9 @@ def test_series_mean_identity_random_spec():
 
 def test_chain_contraction():
     spec = PerpetuitySpec(a_law=ConstantLaw(1.0), b_law=ConstantLaw(0.5))
-    assert sample_chain(spec, rng_stream(1, 0), burn_in=60) == pytest.approx(2.0, abs=1e-12)
+    assert sample_chain_batch(spec, 1, rng_stream(1, 0), burn_in=60)[0] == pytest.approx(2.0, abs=1e-12)
     spec0 = PerpetuitySpec(a_law=ConstantLaw(0.7), b_law=ConstantLaw(0.0))
-    assert sample_chain(spec0, rng_stream(1, 0), burn_in=1) == 0.7
+    assert sample_chain_batch(spec0, 1, rng_stream(1, 0), burn_in=1)[0] == 0.7
 
 
 def test_default_burn_in_forgetting():

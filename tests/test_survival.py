@@ -512,16 +512,25 @@ def test_gf_never_falls_back_to_the_scalar_path(monkeypatch):
 # Population simulation
 # ---------------------------------------------------------------------------
 
+# Every individual has exactly two children: a constant environment (nu = 0)
+# of the finite family with a one-point template at 2.
+DOUBLING = dict(family="finite", epsilon=1.0, nu=0.0, template=(0.0, 0.0, 1.0))
+
+
 def test_population_trivia():
-    assert simulate_population(FinitePmf((1.0,)), n_reps=500, seed=3).estimate == 0.0
-    res = simulate_population(FinitePmf((0.0, 0.0, 1.0)), n_reps=500, seed=3)
-    assert res.estimate == 1.0
+    res = simulate_population(make_environment(**DOUBLING), n_reps=500, seed=3)
+    assert res.estimate == 1.0 and res.n_overrun == 0
+
+
+def test_population_rejects_offspring_law():
+    with pytest.raises(TypeError, match="nu = 0"):
+        simulate_population(FinitePmf((0.0, 0.0, 1.0)), n_reps=10, seed=1)
 
 
 def test_population_overrun_guard():
     # doubling every generation, the work budget runs out long before the cap
     res = simulate_population(
-        FinitePmf((0.0, 0.0, 1.0)), n_reps=50, seed=1, cap_multiplier=1e9, max_individuals=100
+        make_environment(**DOUBLING), n_reps=50, seed=1, cap_multiplier=1e9, max_individuals=100
     )
     assert res.n_overrun == 50
     assert res.estimate == 1.0
