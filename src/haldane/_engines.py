@@ -17,7 +17,10 @@ Three generating-function routes exist:
   backward replay over a stored environment matrix (packed stream bits
   under two-point noise, one float64 law parameter per lane and
   generation under uniform noise) at geometrically spaced checkpoint
-  horizons, one family evaluation per lane-generation.
+  horizons, one family evaluation per lane-generation.  The matrix is
+  read 32 generations at a time; under two-point noise octet tables expand
+  one stored byte at a time into the step coefficients of its 8
+  generations, and the steps write into two preallocated arrays in turn.
 
 ``gf_scalar_path`` replays one path law by law in pure Python; it is the
 per-path oracle of the tests, not an estimator route.
@@ -34,7 +37,7 @@ import math
 import numpy as np
 
 from .environment import TWO_POINT, EnvironmentModel
-from .numerics import rng_stream
+from .numerics import rng_stream, two_point_octets
 from .offspring import OffspringLaw
 
 BATCH_SIZE = 16384
@@ -178,20 +181,39 @@ def _survival_backward_pair(family, table, env: np.ndarray, n: int):
     generation k+1.  Returns (u, v) with u the survival for the length-n
     path and v for the same path truncated after n-1 generations; u <= v
     lane-wise.  Both are advanced by one family evaluation per generation.
+
+    ``env`` is read as transposed blocks of ``_REPLAY_BLOCK`` generations.
+    Under two-point noise each coefficient row gets one
+    :func:`two_point_octets` table, which expands a stored byte into the
+    coefficients of its 8 generations, and the bytes are expanded one at a
+    time into one (K, 8, L) buffer kept for the whole call: a buffer for
+    a whole block would be 4x larger, and at 16,384 lanes over numpy's
+    4 MiB huge-page threshold.  The steps write into two (2, L) arrays in
+    turn (the Poisson step allocates nothing; the finite step only the
+    temporaries of ``offspring.finite_tail_sum``).
     """
-    uv = np.ones((2, env.shape[0]))
+    lanes = env.shape[0]
+    uv, out = np.ones((2, lanes)), np.empty((2, lanes))
+    if table is not None:
+        octets = [np.ascontiguousarray(two_point_octets(lo, hi).T) for lo, hi in table]
+        coefs = np.empty((len(octets), 8, lanes))
     for start in range((n - 1) // _REPLAY_BLOCK * _REPLAY_BLOCK, -1, -_REPLAY_BLOCK):
         stop = min(start + _REPLAY_BLOCK, n)
         if table is None:
-            coefs = family.step_coefficients(np.ascontiguousarray(env[:, start:stop].T))
+            block = family.step_coefficients(np.ascontiguousarray(env[:, start:stop].T))
         else:
-            block = env[:, start // 8:(stop + 7) // 8].T
-            coefs = table[:, np.unpackbits(block, axis=0, count=stop - start, bitorder="little")]
+            # intp once per block: take would copy byte indices to intp per row
+            block = np.ascontiguousarray(env[:, start // 8:(stop + 7) // 8].T, dtype=np.intp)
         for g in range(stop - start - 1, -1, -1):
+            if table is not None and (g % 8 == 7 or g == stop - start - 1):
+                for row, octet in zip(coefs, octets):
+                    # byte indices never clip; "clip" lets take write into out unbuffered
+                    octet.take(block[g // 8], axis=1, out=row, mode="clip")
+            step = block[:, g] if table is None else coefs[:, g % 8]
             if start + g == n - 1:
-                uv[0] = family.survival_step(coefs[:, g], uv[0])
+                uv[0] = family.survival_step(step, uv[0], out[0])
             else:
-                uv = family.survival_step(coefs[:, g], uv)
+                uv, out = family.survival_step(step, uv, out), uv
     return uv[0], uv[1]
 
 
@@ -226,7 +248,9 @@ def _draw_environment(model: EnvironmentModel, stream, env: np.ndarray, log_mu: 
             log_lo, log_hi = log_support
             if n % 8 == 0 and width % 8 == 0:
                 packed = stream.packed_bits(count * width)[:count * width // 8].reshape(count, -1)
-                n_hi = _POPCOUNT.take(packed).sum(axis=1, dtype=np.int64)
+                # indexing, unlike take, does not first copy the uint8 indices
+                # to intp (8 bytes per stored byte)
+                n_hi = _POPCOUNT[packed].sum(axis=1, dtype=np.int64)
             else:
                 fresh = stream.bits((count, width))
                 n_hi = np.count_nonzero(fresh, axis=1)

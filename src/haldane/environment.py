@@ -52,8 +52,8 @@ _SQRT3 = math.sqrt(3.0)
 # runs on (all but linear-fractional) map a whole array of means at once to
 # one float64 law parameter per mean (``law_params``), the parameters to the
 # coefficients of the one-step survival map (``step_coefficients``, stacked
-# on a new leading axis), and apply that map lane by lane
-# (``survival_step``).
+# on a new leading axis), and apply that map lane by lane into an output
+# array (``survival_step``).
 
 @dataclass(frozen=True)
 class PoissonFamily:
@@ -69,12 +69,16 @@ class PoissonFamily:
         return np.array(means, dtype=float)
 
     def step_coefficients(self, params: np.ndarray) -> np.ndarray:
-        return params[None]
+        """The negated rates, so that a step computes (-lam)*r in place."""
+        return -params[None]
 
     @staticmethod
-    def survival_step(coefs, r) -> np.ndarray:
-        """1 - f(1 - r) = -expm1(-lam r), with ``coefs[0]`` the rates."""
-        return -np.expm1(-coefs[0] * r)
+    def survival_step(coefs, r, out) -> np.ndarray:
+        """1 - f(1 - r) = -expm1(-lam r) into ``out``, with ``coefs[0]`` the
+        negated rates."""
+        np.multiply(coefs[0], r, out=out)
+        np.expm1(out, out=out)
+        return np.negative(out, out=out)
 
     def validate_mean_range(self, m_lo: float, m_hi: float) -> None:
         if m_lo <= 0.0:
@@ -252,9 +256,10 @@ class FinitePmfFamily:
         return np.stack(self._tilted_columns(params)[1:])
 
     @staticmethod
-    def survival_step(coefs, r) -> np.ndarray:
-        """1 - f(1 - r) lane by lane, with ``coefs[z-1]`` the weights w_z."""
-        return r * finite_tail_sum(coefs, 1.0 - r)
+    def survival_step(coefs, r, out) -> np.ndarray:
+        """1 - f(1 - r) lane by lane into ``out`` (which must not be ``r``),
+        with ``coefs[z-1]`` the weights w_z."""
+        return np.multiply(r, finite_tail_sum(coefs, np.subtract(1.0, r, out=out)), out=out)
 
     def validate_mean_range(self, m_lo: float, m_hi: float) -> None:
         z_min, z_max = float(self._support[0]), float(self._support[-1])

@@ -217,11 +217,13 @@ def finite_tail_sum(weights, s: np.ndarray) -> np.ndarray:
     """T(s) = sum_{z>=1} w_z (1 + s + ... + s^{z-1}) for weights w_1, w_2, ...
 
     A weight may be a float or an array broadcasting against ``s`` (one
-    law per lane).  Every term is nonnegative on [0, 1].
+    law per lane).  Every term is nonnegative on [0, 1].  The sum starts
+    from w_1 itself (its factor is 1), so T may only broadcast against s.
     """
-    total = np.zeros_like(s)
-    h = np.zeros_like(s)  # h_z(s) = 1 + s + ... + s^{z-1}, h_0 = 0
-    for w in weights:
+    if len(weights) == 0:
+        return np.zeros_like(s)
+    total, h = weights[0], 1.0  # h_z(s) = 1 + s + ... + s^{z-1}
+    for w in weights[1:]:
         h = h * s + 1.0
         total = total + w * h
     return total

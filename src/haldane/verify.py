@@ -510,7 +510,8 @@ def _criterion_intermediate_ratio():
     gaps = [abs(r - 1.0) for r in ratios]
     passed = 0.75 <= ratios[-1] <= 1.25 and gaps[0] > gaps[1] > gaps[2]
     detail = "; ".join(
-        f"eps={row.epsilon}: ratio={row.ratio:.4f} (se {row.result.std_error:.1e})" for row in rows
+        f"eps={row.epsilon}: ratio={row.ratio:.4f} (se {row.result.std_error / row.prediction:.1e})"
+        for row in rows
     )
     return passed, detail
 

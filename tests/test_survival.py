@@ -379,15 +379,18 @@ def _two_law_recursion(law_lo, law_hi, bits, n):
     return u, v
 
 
-@pytest.mark.parametrize("n", [1, 7, 64, 333])
+# horizons ending inside a byte and inside a block, and with the first
+# (horizon n-1) step on either side of a block edge; one lane and 40
+@pytest.mark.parametrize("n", [1, 7, 8, 31, 32, 33, 40, 64, 333])
 @pytest.mark.parametrize("name", ["poisson", "finite", "finite5"])
 def test_packed_replay_bitwise_equals_two_law_recursion(name, n):
     model = make_environment(epsilon=0.05, nu=0.05, **FAMILIES[name])
-    _, bits, table, env = _replay_inputs(model, 40, n, seed=6)
     laws = [model.law_for_mean(m) for m in model.support_means()]
-    u, v = _engines._survival_backward_pair(model.family, table, env, n)
-    u_ref, v_ref = _two_law_recursion(*laws, bits, n)
-    assert np.array_equal(u, u_ref) and np.array_equal(v, v_ref)
+    for lanes in (1, 40):
+        _, bits, table, env = _replay_inputs(model, lanes, n, seed=6)
+        u, v = _engines._survival_backward_pair(model.family, table, env, n)
+        u_ref, v_ref = _two_law_recursion(*laws, bits, n)
+        assert np.array_equal(u, u_ref) and np.array_equal(v, v_ref)
 
 
 @pytest.mark.parametrize("noise", ["two_point", "uniform"])
@@ -450,8 +453,8 @@ def test_horizon_storage_guard_counts_bytes(monkeypatch, noise, lanes, horizon, 
 
 
 # Traced bytes per lane the replay may hold beyond its storage budget: the
-# 32-generation coefficient block of one replay step (256 bytes per lane for
-# the Poisson family) and the per-lane state vectors and masks.
+# replay's coefficient buffer and block of byte indices (96 bytes per lane
+# for the Poisson family) and the per-lane state vectors and masks.
 _REPLAY_BYTES_PER_LANE = 512
 
 
@@ -477,6 +480,35 @@ def test_replay_peak_memory_within_storage_budget(monkeypatch, noise, lanes, bud
     finally:
         tracemalloc.stop()
     assert peak <= budget + _REPLAY_BYTES_PER_LANE * lanes
+
+
+@pytest.mark.parametrize("name", ["poisson", "finite"])
+def test_replay_and_draw_transients_stay_small(name):
+    """The backward replay holds at most 320 traced bytes per lane (its
+    state, one byte of coefficients per row and a block of byte indices;
+    a whole block of coefficients took 577 for Poisson), and a packed draw
+    at most 3 bytes per stored byte (the stream words and the popcounts;
+    casting the popcount indices to intp took 10).  These transients set
+    the process's peak memory, on top of the stored matrix."""
+    model = make_environment(name, 0.05, 0.025)
+    family = model.family
+    table = family.step_coefficients(family.law_params(model.support_means()))
+    lanes, n = 4096, 1024
+    env = rng_stream(1, 0).packed_bits(lanes * n).reshape(lanes, n // 8)
+    grown, log_mu = np.zeros((lanes, n // 4), dtype=np.uint8), np.zeros(lanes)
+    log_support = tuple(math.log(m) for m in model.support_means())
+    _engines._survival_backward_pair(family, table, env[:1], n)  # first-use allocations
+    tracemalloc.start()
+    try:
+        _engines._survival_backward_pair(family, table, env, n)
+        replay_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        _engines._draw_environment(model, rng_stream(2, 0), grown, log_mu, n, 2 * n, log_support)
+        draw_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert replay_peak <= 320 * lanes
+    assert draw_peak <= 3 * env.nbytes
 
 
 @pytest.mark.parametrize("noise, lanes, budget, n_max", [

@@ -1,4 +1,5 @@
-"""Bitwise pins of outputs drawn from two-point noise.
+"""Bitwise pins of outputs drawn from two-point noise (and of the replay
+engine under uniform noise).
 
 Each pin is a SHA-256 prefix of the output arrays (little-endian bytes)
 and, where the caller keeps the stream, of the next four 32-bit words it
@@ -23,6 +24,9 @@ from haldane import _engines
 from haldane.perpetuity import sample_series_batch
 
 
+FIVE_POINT = (0.1, 0.2, 0.3, 0.25, 0.15)
+
+
 def _digest(*arrays) -> str:
     h = hashlib.sha256()
     for a in map(np.asarray, arrays):
@@ -41,6 +45,24 @@ def _next_words(rng) -> np.ndarray:
 def test_gf_lf_batch_pinned(rho, digest, total):
     model = make_environment("linear_fractional", 0.02, 0.02 * rho)
     values, flagged = _engines.gf_lf_batch(model, 2048, 4, 0, 1e-8, 1e-6, 100_000)
+    assert (_digest(values, flagged), float(values.sum())) == (digest, total)
+
+
+# eps = 0.05, rho = 0.5 (nu = 0.025) throughout; the last case stops at an
+# unaligned n_max, so its final draw and replay end inside a byte
+@pytest.mark.parametrize("family, noise, n_max, digest, total", [
+    ("poisson", "two_point", 100_000, "02608b2d9aa6996dcc009953654804c7", 149.77766504241887),
+    ("finite", "two_point", 100_000, "62eaaefa7eef3d9f2860b8daeefdb1ea", 289.8403019178728),
+    ("finite5", "two_point", 100_000, "10ac956646f9885f3b72b66d96d5609e", 147.67134253540547),
+    ("poisson", "uniform", 100_000, "3b751eac5ddc8217fb2387256c4516b9", 144.61745167026555),
+    ("poisson", "two_point", 300, "e7f4f6fc3ee1f63f7379b4bc7a074522", 149.80065427138823),
+])
+def test_gf_replay_batch_pinned(family, noise, n_max, digest, total):
+    # the values pin the replay's arithmetic lane by lane; the estimates
+    # pinned in test_survival.py average them
+    kwargs = {"template": FIVE_POINT} if family == "finite5" else {}
+    model = make_environment(family.rstrip("5"), 0.05, 0.025, noise, **kwargs)
+    values, flagged = _engines.gf_replay_batch(model, 2048, 4, 0, 1e-8, 1e-6, n_max)
     assert (_digest(values, flagged), float(values.sum())) == (digest, total)
 
 
