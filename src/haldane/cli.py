@@ -338,6 +338,8 @@ def cmd_perpetuity(args) -> int:
     config = load_config(args.config)
     seed = _resolve_seed(config, args)
     n_samples = args.reps if args.reps is not None else _get_int(config, "n_samples", required=True)
+    if n_samples < 2:
+        raise ConfigError(f"config: n_samples must be at least 2, got {n_samples}")
     tol = _get_float(config, "tol", 1e-6)
     mode = _get(config, "mode", "environment" if "family" in config else "scalar")
 

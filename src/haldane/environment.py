@@ -350,8 +350,10 @@ class EnvironmentModel:
 
     # -- sampling -----------------------------------------------------------
 
-    def sample_means(self, rng: RandomStream, size: int) -> np.ndarray:
-        """``size`` iid law means.
+    def sample_means(self, rng: RandomStream, size: int, rows: int = 1) -> np.ndarray:
+        """``size`` iid law means, as ``rows`` rows of ``size // rows`` when
+        ``rows > 1``; row j holds what the j-th of ``rows`` successive
+        calls of that width would return.
 
         Two-point noise costs one stream bit per mean and returns exactly
         the values of :meth:`mean_bounds`: the bits are read as whole
@@ -359,11 +361,12 @@ class EnvironmentModel:
         byte expands to 8 means through one row of a 256-entry table.
         Uniform noise costs one uniform per mean.
         """
+        shape = (rows, size // rows) if rows > 1 else size
         if self.nu == 0.0:
-            return np.full(size, 1.0 + self.epsilon)
+            return np.full(shape, 1.0 + self.epsilon)
         if self.noise == TWO_POINT:
-            return rng.two_point(self._two_point_octets, size)
-        u = rng.generator.random(size)
+            return rng.two_point(self._two_point_octets, size, rows)
+        u = rng.generator.random(shape)
         return 1.0 + self.epsilon + math.sqrt(self.nu) * ((2.0 * u - 1.0) * _SQRT3)
 
     @functools.cached_property

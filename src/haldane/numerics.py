@@ -320,13 +320,19 @@ class RandomStream:
         flips = np.unpackbits(self.packed_bits(count), count=count, bitorder="little")
         return flips.view(bool).reshape(shape)
 
-    def two_point(self, octets: np.ndarray, size: int) -> np.ndarray:
+    def two_point(self, octets: np.ndarray, size: int, rows: int = 1) -> np.ndarray:
         """Next ``size`` draws of a two-point law, one stream bit each.
 
         ``octets`` is a :func:`two_point_octets` table; each byte of
-        :meth:`packed_bits` selects its row, the values of 8 draws.
+        :meth:`packed_bits` selects its row, the values of 8 draws.  With
+        ``rows > 1`` the result is a ``(rows, size // rows)`` view whose
+        rows are exactly what ``rows`` successive calls of that width would
+        return: one draw of their whole words, in row order, reads the
+        stream as those calls do, and one lookup expands it.
         """
-        return octets.take(self.packed_bits(size), axis=0).reshape(-1)[:size]
+        width = size // rows
+        draws = octets.take(self.packed_bits(rows * 32 * -(-width // 32)), axis=0).reshape(rows, -1)
+        return draws[:, :width] if rows > 1 else draws[0, :width]
 
 
 def two_point_octets(lo: float, hi: float) -> np.ndarray:

@@ -138,7 +138,7 @@ def _limit_shape_values(model: EnvironmentModel, means: np.ndarray) -> np.ndarra
     """
     family = model.family
     if isinstance(family, PoissonFamily):
-        return np.full(means.shape, 0.5)
+        return np.broadcast_to(0.5, means.shape)
     if isinstance(family, LinearFractionalFamily):
         return 1.0 / (1.0 - family.p0) - 1.0 / means
     if model.noise == UNIFORM and model.nu > 0.0:
@@ -148,7 +148,7 @@ def _limit_shape_values(model: EnvironmentModel, means: np.ndarray) -> np.ndarra
         return (weights * (z * (z - 1))).sum(axis=-1) / (2.0 * m * m)
     distinct, inverse = np.unique(means, return_inverse=True)
     shapes = np.array([model.law_for_mean(float(m)).shape_at_one() for m in distinct])
-    return shapes[inverse]
+    return shapes[inverse].reshape(means.shape)
 
 
 @dataclass(frozen=True)
@@ -208,13 +208,23 @@ class PerpetuitySpec:
 
     # -- sampling --------------------------------------------------------------
 
-    def sample_pairs(self, rng: RandomStream, size: int) -> tuple[np.ndarray, np.ndarray]:
+    def sample_pairs(self, rng: RandomStream, size: int, rows: int = 1) -> tuple[np.ndarray, np.ndarray]:
+        """``size`` pairs (A, B); with ``rows > 1``, ``(rows, size // rows)``
+        arrays whose row j is what the j-th of ``rows`` successive calls of
+        that width would draw.  A may be a read-only broadcast view."""
         if self.model is not None:
-            means = self.model.sample_means(rng, size=size)
+            means = self.model.sample_means(rng, size=size, rows=rows)
             if self._support_shapes is None:
-                return _limit_shape_values(self.model, means), 1.0 / means
-            m_hi, shapes = self._support_shapes
-            return shapes.take((means == m_hi).view(np.uint8)), 1.0 / means
+                a = _limit_shape_values(self.model, means)
+            else:
+                m_hi, shapes = self._support_shapes
+                a = shapes.take((means == m_hi).view(np.uint8))
+            return a, np.divide(1.0, means, out=means)
+        if rows > 1:
+            # scalar laws draw A then B per row, so each row keeps that order
+            width = size // rows
+            pairs = [(self.a_law.sample(rng, width), self.b_law.sample(rng, width)) for _ in range(rows)]
+            return np.stack([a for a, _ in pairs]), np.stack([b for _, b in pairs])
         return self.a_law.sample(rng, size), self.b_law.sample(rng, size)
 
     @functools.cached_property
@@ -315,6 +325,10 @@ def contraction_rate(spec: PerpetuitySpec) -> tuple[float, float]:
 # Samplers
 # ---------------------------------------------------------------------------
 
+# Cap on the pairs of one series block draw: 8 rows up to 4,096 live lanes,
+# 1 row beyond 16,384, so a block stays within 256 KiB per array.
+_SERIES_BLOCK_DRAWS = 2**15
+
 def sample_series_batch(
     spec: PerpetuitySpec,
     n: int,
@@ -331,6 +345,11 @@ def sample_series_batch(
     expectation.  The rule is tested every ``_CHECK_EVERY`` terms and at
     ``k_max``, so a lane may add up to ``_CHECK_EVERY - 1`` terms past its
     first eligible stop.  Lanes still live at ``k_max`` are flagged.
+
+    Between checks the live lanes do not change, so up to 8 terms (at most
+    ``_SERIES_BLOCK_DRAWS`` pairs) come from one ``sample_pairs`` call,
+    whose rows are what one call per term would draw; each term then runs
+    the same updates in the same order as with one call per term.
     """
     regime_of(spec)  # admissibility gate
     _, theta = contraction_rate(spec)
@@ -342,21 +361,29 @@ def sample_series_batch(
     idx = np.arange(n)
     c = np.ones(n)
     acc = np.zeros(n)
+    term = np.empty(n)
 
-    for k in range(1, k_max + 1):
-        a, b = spec.sample_pairs(rng, idx.size)
-        acc += c * a
-        c *= b
-        if k % _CHECK_EVERY and k < k_max:
-            continue
+    k = 0
+    while idx.size and k < k_max:
+        lanes = idx.size
+        rows = next(r for r in (8, 4, 2, 1) if r * lanes <= _SERIES_BLOCK_DRAWS or r == 1)
+        check_at = min(k + _CHECK_EVERY, k_max)
+        while k < check_at:
+            step = min(rows, check_at - k)
+            a, b = spec.sample_pairs(rng, step * lanes, step)
+            a, b = a.reshape(step, lanes), b.reshape(step, lanes)
+            for j in range(step):
+                np.multiply(c, a[j], out=term)
+                acc += term
+                c *= b[j]
+            k += step
+            a = b = None  # release the block before the next draw
         done = c < c_tol
         if np.any(done):
             values[idx[done]] = acc[done]
             flags[idx[done]] = False
             keep = ~done
-            idx, c, acc = idx[keep], c[keep], acc[keep]
-            if idx.size == 0:
-                break
+            idx, c, acc, term = idx[keep], c[keep], acc[keep], term[keep]
     if idx.size:
         values[idx] = acc
     return values, flags

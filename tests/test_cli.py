@@ -183,6 +183,16 @@ def test_perpetuity_inadmissible_exit(tmp_path, capsys):
     assert "beta" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("reps", ["0", "-3"])
+def test_perpetuity_rejects_too_few_samples(tmp_path, capsys, reps):
+    cfg = _write(
+        tmp_path / "perp_few.cfg",
+        "family = poisson\nepsilon = 0.05\nrho = 1\nn_samples = 2000\nseed = 11\n",
+    )
+    assert main(["perpetuity", "--config", cfg, "--reps", reps]) == 2
+    assert f"n_samples must be at least 2, got {reps}" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

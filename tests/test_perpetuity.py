@@ -25,6 +25,7 @@ from haldane import (
     regime_of,
     rng_stream,
 )
+from haldane._engines import _CHECK_EVERY
 from haldane.numerics import ks_threshold
 from haldane.perpetuity import (
     NonContractiveError,
@@ -213,6 +214,73 @@ def test_series_mean_identity_random_spec():
     target = regime.alpha / regime.beta
     se = float(np.std(values, ddof=1)) / math.sqrt(values.size)
     assert float(np.mean(values)) == pytest.approx(target, abs=5 * se)
+
+
+def _series_one_term_per_draw(spec, n, rng, *, k_max=200_000):
+    """The series sampler drawing one term per ``sample_pairs`` call (the
+    loop the block draws replaced), at the default tolerance."""
+    _, theta = contraction_rate(spec)
+    tail_scale = spec.a_upper() if math.isinf(theta) else spec.a_upper() / (-math.expm1(-theta))
+    c_tol = 1e-6 / max(tail_scale, 1e-300)
+    values = np.zeros(n)
+    flags = np.ones(n, dtype=bool)
+    idx = np.arange(n)
+    c = np.ones(n)
+    acc = np.zeros(n)
+    for k in range(1, k_max + 1):
+        a, b = spec.sample_pairs(rng, idx.size)
+        acc += c * a
+        c *= b
+        if k % _CHECK_EVERY and k < k_max:
+            continue
+        done = c < c_tol
+        if np.any(done):
+            values[idx[done]] = acc[done]
+            flags[idx[done]] = False
+            keep = ~done
+            idx, c, acc = idx[keep], c[keep], acc[keep]
+            if idx.size == 0:
+                break
+    if idx.size:
+        values[idx] = acc
+    return values, flags
+
+
+_ORACLE_SPECS = {
+    "poisson": lambda: from_environment(make_environment("poisson", 0.05, 0.05)),
+    "finite": lambda: from_environment(make_environment("finite", 0.05, 0.05)),
+    "lf": lambda: from_environment(make_environment("linear_fractional", 0.05, 0.05)),
+    "poisson-uniform": lambda: from_environment(make_environment("poisson", 0.05, 0.05, "uniform")),
+    "scalar": lambda: PerpetuitySpec(a_law=TwoPointLaw(0.2, 0.8), b_law=TwoPointLaw(0.9, 1.05)),
+    # nu = 0: the finite family takes the per-distinct-mean shape path
+    "finite-nu0": lambda: from_environment(make_environment("finite", 0.05, 0.0)),
+}
+
+
+@pytest.mark.parametrize("k_max", [5, 21, 200_000])
+@pytest.mark.parametrize("name", sorted(_ORACLE_SPECS))
+def test_series_block_draws_match_one_term_per_draw(name, k_max):
+    # 20,000 and 4,097 lanes cross the 1/2/4/8-row block widths as lanes
+    # retire; k_max = 5 and 21 cut the last block short
+    spec = _ORACLE_SPECS[name]()
+    for n in (1, 33, 4097, 20_000):
+        rng, ref_rng = rng_stream(12, n), rng_stream(12, n)
+        values, flags = sample_series_batch(spec, n, rng, k_max=k_max)
+        ref_values, ref_flags = _series_one_term_per_draw(spec, n, ref_rng, k_max=k_max)
+        assert np.array_equal(values, ref_values) and np.array_equal(flags, ref_flags)
+        next_words = (r.generator.integers(0, 2**32, 4, dtype=np.uint32) for r in (rng, ref_rng))
+        assert np.array_equal(*next_words)
+
+
+def test_empty_series_returns_without_drawing(monkeypatch):
+    calls = []
+    draw = PerpetuitySpec.sample_pairs
+    monkeypatch.setattr(PerpetuitySpec, "sample_pairs", lambda *args: calls.append(args) or draw(*args))
+    spec = from_environment(make_environment("poisson", 0.05, 0.05))
+    rng = rng_stream(3, 3)
+    values, flags = sample_series_batch(spec, 0, rng)
+    assert values.shape == flags.shape == (0,) and calls == []
+    assert rng.generator.integers(0, 2**32) == rng_stream(3, 3).generator.integers(0, 2**32)
 
 
 def test_chain_contraction():

@@ -68,6 +68,7 @@ def test_gf_replay_batch_pinned(family, noise, n_max, digest, total):
 
 @pytest.mark.parametrize("family, eps, n, digest, total", [
     ("poisson", 0.05, 1000, "fe1db300c5d2044a506f91a79da01a32", 104621.65295192557),
+    ("poisson", 0.05, 20_000, "77fa52dbbcb1b5ae384759f3fcef8b88", 2353562.8377869017),
     ("finite", 0.02, 200, "723f7d364566262977cd9600844f2fa4", 15970.548251200704),
 ])
 def test_sample_series_batch_pinned(family, eps, n, digest, total):
