@@ -12,7 +12,8 @@ Three generating-function routes exist:
   (every path is identical, so one iteration settles all replicates);
 * for linear-fractional families, the reciprocal-survival identity as an
   annuity sum, one running sum and one discount per lane, with the
-  stopping rule tested every ``_CHECK_EVERY`` generations;
+  stopping rule tested every ``_CHECK_EVERY`` generations and up to that
+  many generations drawn per stream call (:func:`_block_rows`);
 * for every other family under either noise kind, a block-doubling
   backward replay over a stored environment matrix (packed stream bits
   under two-point noise, one float64 law parameter per lane and
@@ -48,9 +49,22 @@ BATCH_SIZE = 16384
 EXTINCTION_FLOOR = 1e-15
 
 # The annuity-sum loops test their stopping rules every this many
-# generations (and at their horizon cap): between checks a generation is
-# one draw and two array updates.
+# generations (and at their horizon cap); between checks the live lanes do
+# not change, so the generations up to the next check are drawn in blocks.
 _CHECK_EVERY = 8
+
+# Cap on the draws of one annuity block: 8 rows up to 4,096 live lanes,
+# 1 row beyond 16,384, so a block stays within 256 KiB per float64 array.
+_BLOCK_DRAWS = 2**15
+
+
+def _block_rows(lanes: int) -> int:
+    """Generations (or series terms) per draw of the annuity loops
+    (:func:`gf_lf_batch`, ``perpetuity.sample_series_batch``) at ``lanes``
+    live lanes: the largest of 8, 4, 2, 1 whose block holds at most
+    ``_BLOCK_DRAWS`` draws, and 1 when none does."""
+    return next(r for r in (8, 4, 2, 1) if r * lanes <= _BLOCK_DRAWS or r == 1)
+
 
 # Storage guard for the replay engine's environment matrix (bytes per
 # batch): 1/8 byte per lane-generation packed, 8 bytes as float64.  The
@@ -121,6 +135,12 @@ def gf_lf_batch(
     at most ``_CHECK_EVERY - 1`` generations past its first eligible stop;
     the extra generations only shrink the truncation error.
 
+    Between checks the live lanes do not change, so up to 8 generations
+    (:func:`_block_rows`) come from one ``sample_means`` call, whose rows
+    are what one call per generation would draw; each generation then runs
+    ``S += C; C /= m`` in the same order as with one call per generation,
+    so values, flags and stream use do not depend on the block width.
+
     Returns (survival values, flagged mask) as arrays of length n_lanes.
     """
     stream = rng_stream(seed, stream_id)
@@ -134,27 +154,30 @@ def gf_lf_batch(
     values = np.zeros(n_lanes)
     flagged = np.zeros(n_lanes, dtype=bool)
 
-    for n in range(1, n_max + 1):
-        m = model.sample_means(stream, size=idx.size)
-        check = n % _CHECK_EVERY == 0 or n == n_max
-        if check:
-            prev_r = 1.0 / (1.0 + kappa * total)
-        total += discount
-        discount /= m
-        if not check:
-            continue
+    n = 0
+    while idx.size and n < n_max:
+        lanes = idx.size
+        rows = _block_rows(lanes)
+        check_at = min(n + _CHECK_EVERY, n_max)
+        while n < check_at:
+            step = min(rows, check_at - n)
+            m = model.sample_means(stream, step * lanes, step).reshape(step, lanes)
+            for j in range(step):
+                if n + j + 1 == check_at:
+                    prev_r = 1.0 / (1.0 + kappa * total)
+                total += discount
+                discount /= m[j]
+            n += step
+            m = None  # release the block before the next draw
         r = 1.0 / (1.0 + kappa * total)
         done = (r < EXTINCTION_FLOOR) | ((prev_r - r < tol_q) & (discount < tol_mu))
         if n == n_max:
             values[idx] = r
             flagged[idx] = ~done
-            break
-        if np.any(done):
+        elif np.any(done):
             values[idx[done]] = r[done]
             keep = ~done
             total, discount, idx = total[keep], discount[keep], idx[keep]
-            if idx.size == 0:
-                break
     return values, flagged
 
 

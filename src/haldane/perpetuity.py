@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._engines import _CHECK_EVERY
+from ._engines import _CHECK_EVERY, _block_rows
 from .environment import (
     TWO_POINT, UNIFORM, EnvironmentModel, FinitePmfFamily, LinearFractionalFamily, PoissonFamily,
 )
@@ -325,10 +325,6 @@ def contraction_rate(spec: PerpetuitySpec) -> tuple[float, float]:
 # Samplers
 # ---------------------------------------------------------------------------
 
-# Cap on the pairs of one series block draw: 8 rows up to 4,096 live lanes,
-# 1 row beyond 16,384, so a block stays within 256 KiB per array.
-_SERIES_BLOCK_DRAWS = 2**15
-
 def sample_series_batch(
     spec: PerpetuitySpec,
     n: int,
@@ -346,8 +342,8 @@ def sample_series_batch(
     ``k_max``, so a lane may add up to ``_CHECK_EVERY - 1`` terms past its
     first eligible stop.  Lanes still live at ``k_max`` are flagged.
 
-    Between checks the live lanes do not change, so up to 8 terms (at most
-    ``_SERIES_BLOCK_DRAWS`` pairs) come from one ``sample_pairs`` call,
+    Between checks the live lanes do not change, so up to 8 terms
+    (``_engines._block_rows``) come from one ``sample_pairs`` call,
     whose rows are what one call per term would draw; each term then runs
     the same updates in the same order as with one call per term.
     """
@@ -366,7 +362,7 @@ def sample_series_batch(
     k = 0
     while idx.size and k < k_max:
         lanes = idx.size
-        rows = next(r for r in (8, 4, 2, 1) if r * lanes <= _SERIES_BLOCK_DRAWS or r == 1)
+        rows = _block_rows(lanes)
         check_at = min(k + _CHECK_EVERY, k_max)
         while k < check_at:
             step = min(rows, check_at - k)

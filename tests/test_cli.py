@@ -1,6 +1,7 @@
 """CLI tests: config validation, exit codes, CSV reproducibility, the JSON
 mirror, and the verify table (including mutation sensitivity)."""
 
+import hashlib
 import json
 
 import pytest
@@ -50,6 +51,27 @@ def test_survival_csv_roundtrip(tmp_path):
         assert cells[0] == "poisson"
         assert cells[-1] == "42"  # seed in every row
         assert cells[-3] == "50"  # n_reps in every row
+
+
+LF_SWEEP_CONFIG = """
+family = linear_fractional
+p0 = 0.3
+noise = two_point
+rho = 1
+eps_list = 0.05, 0.02
+n_reps = 2048
+seed = 9
+estimator = gf
+"""
+
+
+def test_lf_sweep_csv_body_pinned(tmp_path):
+    # the body may change only with an announced change of stream use
+    cfg = _write(tmp_path / "lf.cfg", LF_SWEEP_CONFIG)
+    out = tmp_path / "lf.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    digest = hashlib.sha256("\n".join(_body(out)).encode()).hexdigest()
+    assert digest == "9f2f7a419320a4493d7fe103d3ab86631fd2bf9067863f9ad7fc233e8d9dd671"
 
 
 def test_survival_json_mirror(tmp_path):

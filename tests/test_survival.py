@@ -243,9 +243,9 @@ class _RecordingModel:
         self._model = model
         self.means = []
 
-    def sample_means(self, rng, size):
-        means = self._model.sample_means(rng, size)
-        self.means.extend(means.tolist())
+    def sample_means(self, rng, size, rows=1):
+        means = self._model.sample_means(rng, size, rows)
+        self.means.extend(means.ravel().tolist())
         return means
 
 
@@ -292,6 +292,72 @@ def test_lf_kernel_matches_moebius_oracle_per_path(eps, rho, n_max, tol_q, some_
             assert not oracle(laws[:previous_check])[1]
         n_flagged += int(flags[0])
     assert (n_flagged > 0) == some_flagged
+
+
+def _lf_one_generation_per_draw(model, n_lanes, stream, tol_q, tol_mu, n_max):
+    """The LF kernel drawing one generation per ``sample_means`` call (the
+    loop the block draws replaced)."""
+    kappa = model.family.p0 / (1.0 - model.family.p0)
+    total, discount, idx = np.zeros(n_lanes), np.ones(n_lanes), np.arange(n_lanes)
+    values, flagged = np.zeros(n_lanes), np.zeros(n_lanes, dtype=bool)
+    for n in range(1, n_max + 1):
+        m = model.sample_means(stream, size=idx.size)
+        check = n % _engines._CHECK_EVERY == 0 or n == n_max
+        if check:
+            prev_r = 1.0 / (1.0 + kappa * total)
+        total += discount
+        discount /= m
+        if not check:
+            continue
+        r = 1.0 / (1.0 + kappa * total)
+        done = (r < _engines.EXTINCTION_FLOOR) | ((prev_r - r < tol_q) & (discount < tol_mu))
+        if n == n_max:
+            values[idx] = r
+            flagged[idx] = ~done
+            break
+        if np.any(done):
+            values[idx[done]] = r[done]
+            keep = ~done
+            total, discount, idx = total[keep], discount[keep], idx[keep]
+            if idx.size == 0:
+                break
+    return values, flagged
+
+
+def _capture_streams(monkeypatch):
+    """Make ``_engines.rng_stream`` keep every stream it creates."""
+    streams = []
+    create = _engines.rng_stream
+    monkeypatch.setattr(_engines, "rng_stream", lambda *args: streams.append(create(*args)) or streams[-1])
+    return streams
+
+
+@pytest.mark.parametrize("n_max", [5, 21, 100_000])
+@pytest.mark.parametrize("eps, rho", [(0.05, 1.0), (0.02, 3.0)])
+def test_lf_block_draws_match_one_generation_per_draw(monkeypatch, eps, rho, n_max):
+    # 16,385 lanes start on 1-row blocks and cross the 2/4/8-row widths as
+    # they retire (on convergence at rho = 1, on the extinction floor at
+    # rho = 3); n_max = 5 and 21 cut the last block short
+    model = make_environment("linear_fractional", epsilon=eps, nu=eps * rho)
+    streams = _capture_streams(monkeypatch)
+    for n_lanes in (1, 33, 4097, 16_385):
+        values, flagged = _engines.gf_lf_batch(model, n_lanes, 5, n_lanes, 1e-8, 1e-6, n_max)
+        ref_rng = rng_stream(5, n_lanes)
+        ref_values, ref_flagged = _lf_one_generation_per_draw(model, n_lanes, ref_rng, 1e-8, 1e-6, n_max)
+        assert np.array_equal(values, ref_values) and np.array_equal(flagged, ref_flagged)
+        next_words = (r.generator.integers(0, 2**32, 4, dtype=np.uint32) for r in (streams[-1], ref_rng))
+        assert np.array_equal(*next_words)
+
+
+def test_empty_lf_batch_returns_without_drawing(monkeypatch):
+    model = make_environment("linear_fractional", epsilon=0.05, nu=0.05)
+    calls = []
+    draw = type(model).sample_means
+    monkeypatch.setattr(type(model), "sample_means", lambda *args: calls.append(args) or draw(*args))
+    streams = _capture_streams(monkeypatch)
+    values, flagged = _engines.gf_lf_batch(model, 0, 3, 3, 1e-8, 1e-6, 100_000)
+    assert values.shape == flagged.shape == (0,) and calls == []
+    assert streams[0].generator.integers(0, 2**32) == rng_stream(3, 3).generator.integers(0, 2**32)
 
 
 def test_gf_std_error_survives_tiny_spread():
