@@ -53,9 +53,12 @@ EXTINCTION_FLOOR = 1e-15
 # not change, so the generations up to the next check are drawn in blocks.
 _CHECK_EVERY = 8
 
-# Cap on the draws of one annuity block: 8 rows up to 4,096 live lanes,
-# 1 row beyond 16,384, so a block stays within 256 KiB per float64 array.
-_BLOCK_DRAWS = 2**15
+# Cap on the draws of one annuity block: 8 rows up to 32,768 live lanes,
+# so a block of float64 values (its rows padded to whole stream words
+# included) is at most 2 MiB.  That stays below the 4 MiB from which numpy
+# maps arrays with huge pages, which raise the resident size in 2 MiB steps
+# and make the peak depend on the heap's history.
+_BLOCK_DRAWS = 2**18
 
 
 def _block_rows(lanes: int) -> int:

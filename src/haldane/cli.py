@@ -36,6 +36,7 @@ from .perpetuity import (
     ConstantLaw,
     DiracLimit,
     InadmissibleRegimeError,
+    NonContractiveError,
     PerpetuitySpec,
     TwoPointLaw,
     annuity_residual,
@@ -451,7 +452,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except HorizonStorageError as exc:
+    except (HorizonStorageError, NonContractiveError) as exc:
         print(f"error: resource overrun: {exc}", file=sys.stderr)
         return 3
 

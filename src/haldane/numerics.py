@@ -320,19 +320,38 @@ class RandomStream:
         flips = np.unpackbits(self.packed_bits(count), count=count, bitorder="little")
         return flips.view(bool).reshape(shape)
 
+    def packed_rows(self, size: int, rows: int = 1) -> np.ndarray:
+        """Next ``size`` fair coin flips as ``rows`` rows of ``size // rows``:
+        a ``(rows, 4 * ceil(width / 32))`` byte array in :meth:`packed_bits`
+        order, each row padded to whole 32-bit words.
+
+        Row j holds exactly what the j-th of ``rows`` successive
+        ``packed_bits`` calls of that width would return: one draw of their
+        whole words, in row order, reads the stream as those calls do.
+        """
+        width = size // rows
+        return self.packed_bits(rows * 32 * -(-width // 32)).reshape(rows, -1)
+
     def two_point(self, octets: np.ndarray, size: int, rows: int = 1) -> np.ndarray:
         """Next ``size`` draws of a two-point law, one stream bit each.
 
         ``octets`` is a :func:`two_point_octets` table; each byte of
-        :meth:`packed_bits` selects its row, the values of 8 draws.  With
+        :meth:`packed_rows` selects its row, the values of 8 draws.  With
         ``rows > 1`` the result is a ``(rows, size // rows)`` view whose
         rows are exactly what ``rows`` successive calls of that width would
-        return: one draw of their whole words, in row order, reads the
-        stream as those calls do, and one lookup expands it.
+        return (see :func:`octet_values`).
         """
-        width = size // rows
-        draws = octets.take(self.packed_bits(rows * 32 * -(-width // 32)), axis=0).reshape(rows, -1)
-        return draws[:, :width] if rows > 1 else draws[0, :width]
+        return octet_values(octets, self.packed_rows(size, rows), size // rows)
+
+
+def octet_values(octets: np.ndarray, packed: np.ndarray, width: int) -> np.ndarray:
+    """The ``width`` draws per row that :meth:`RandomStream.packed_rows`
+    bytes encode through a :func:`two_point_octets` table, by one lookup: a
+    ``(rows, width)`` view, or a ``(width,)`` view for one row.  Several
+    tables may expand the same bytes, so that each flip selects one value
+    from every table."""
+    draws = octets.take(packed, axis=0).reshape(len(packed), -1)
+    return draws[:, :width] if len(packed) > 1 else draws[0, :width]
 
 
 def two_point_octets(lo: float, hi: float) -> np.ndarray:

@@ -26,11 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._engines import _CHECK_EVERY, _block_rows
-from .environment import (
-    TWO_POINT, UNIFORM, EnvironmentModel, FinitePmfFamily, LinearFractionalFamily, PoissonFamily,
-)
+from .environment import TWO_POINT, UNIFORM, EnvironmentModel, LinearFractionalFamily, PoissonFamily
 from .numerics import (
-    InverseGammaParams, RandomStream, invgamma_cdf, ks_one_sample, ks_two_sample, two_point_octets,
+    InverseGammaParams, RandomStream, invgamma_cdf, ks_one_sample, ks_two_sample, octet_values,
+    two_point_octets,
 )
 
 __all__ = [
@@ -129,7 +128,9 @@ ScalarLaw = ConstantLaw | TwoPointLaw
 # ---------------------------------------------------------------------------
 
 def _limit_shape_values(model: EnvironmentModel, means: np.ndarray) -> np.ndarray:
-    """Shape-at-one of the family law, vectorized over realized means.
+    """Shape-at-one of the family law, vectorized over realized means: the
+    coupled A of :meth:`PerpetuitySpec.sample_pairs`, which under two-point
+    noise evaluates it once, at the two support means.
 
     The finite family's shape f''(1)/(2 m^2) has no closed form in the
     mean.  Under uniform noise it is computed on the rows of one vectorized
@@ -211,15 +212,23 @@ class PerpetuitySpec:
     def sample_pairs(self, rng: RandomStream, size: int, rows: int = 1) -> tuple[np.ndarray, np.ndarray]:
         """``size`` pairs (A, B); with ``rows > 1``, ``(rows, size // rows)``
         arrays whose row j is what the j-th of ``rows`` successive calls of
-        that width would draw.  A may be a read-only broadcast view."""
+        that width would draw.  A may be a read-only broadcast view.
+
+        Under two-point noise every pair is one of two, so one packed draw
+        (the stream words ``model.sample_means`` would read) selects each
+        pair from two cached octet tables, with no means in between; an A
+        that is equal at both means (Poisson) is broadcast.  Uniform noise
+        and a degenerate environment map drawn means.
+        """
+        if self._pair_octets is not None:
+            a_octets, a_lo, b_octets = self._pair_octets
+            packed, width = rng.packed_rows(size, rows), size // rows
+            b = octet_values(b_octets, packed, width)
+            a = np.broadcast_to(a_lo, b.shape) if a_octets is None else octet_values(a_octets, packed, width)
+            return a, b
         if self.model is not None:
             means = self.model.sample_means(rng, size=size, rows=rows)
-            if self._support_shapes is None:
-                a = _limit_shape_values(self.model, means)
-            else:
-                m_hi, shapes = self._support_shapes
-                a = shapes.take((means == m_hi).view(np.uint8))
-            return a, np.divide(1.0, means, out=means)
+            return _limit_shape_values(self.model, means), np.divide(1.0, means, out=means)
         if rows > 1:
             # scalar laws draw A then B per row, so each row keeps that order
             width = size // rows
@@ -228,16 +237,19 @@ class PerpetuitySpec:
         return self.a_law.sample(rng, size), self.b_law.sample(rng, size)
 
     @functools.cached_property
-    def _support_shapes(self) -> tuple[float, np.ndarray] | None:
-        """``(m_hi, A at (m_lo, m_hi))`` for a finite family, whose A has no
-        closed form, under two-point noise; None otherwise."""
+    def _pair_octets(self) -> tuple[np.ndarray | None, float, np.ndarray] | None:
+        """``(A table or None, A at the low mean, B table)`` under two-point
+        noise, the tables holding the pair at (low, high) mean in
+        :func:`two_point_octets` form, with no A table when both A agree;
+        None for scalar laws, uniform noise and a degenerate environment.
+        The values are bitwise those that mapping drawn means gives."""
         model = self.model
         if model is None or model.noise != TWO_POINT or model.nu == 0.0:
             return None
-        if not isinstance(model.family, FinitePmfFamily):
-            return None
-        support = model.support_means()
-        return support[1], np.array([model.law_for_mean(m).shape_at_one() for m in support])
+        means = np.array(model.support_means())
+        a, b = _limit_shape_values(model, means), np.divide(1.0, means)
+        a_octets = None if a[0] == a[1] else two_point_octets(a[0], a[1])
+        return a_octets, float(a[0]), two_point_octets(b[0], b[1])
 
 
 def from_environment(model: EnvironmentModel) -> PerpetuitySpec:
@@ -343,9 +355,11 @@ def sample_series_batch(
     first eligible stop.  Lanes still live at ``k_max`` are flagged.
 
     Between checks the live lanes do not change, so up to 8 terms
-    (``_engines._block_rows``) come from one ``sample_pairs`` call,
-    whose rows are what one call per term would draw; each term then runs
-    the same updates in the same order as with one call per term.
+    (``_engines._block_rows``: 8 up to 32,768 live lanes) come from one
+    ``sample_pairs`` call, whose rows are what one call per term would
+    draw; each term then runs the same updates in the same order as with
+    one call per term.  Under two-point noise the call reads each pair from
+    the spec's octet tables (a constant A is a broadcast, not a block).
     """
     regime_of(spec)  # admissibility gate
     _, theta = contraction_rate(spec)

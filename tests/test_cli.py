@@ -1,12 +1,13 @@
 """CLI tests: config validation, exit codes, CSV reproducibility, the JSON
 mirror, and the verify table (including mutation sensitivity)."""
 
+import functools
 import hashlib
 import json
 
 import pytest
 
-from haldane import verify
+from haldane import perpetuity, verify
 from haldane.cli import main
 
 
@@ -203,6 +204,24 @@ def test_perpetuity_inadmissible_exit(tmp_path, capsys):
     )
     assert main(["perpetuity", "--config", cfg]) == 2
     assert "beta" in capsys.readouterr().err
+
+
+def test_perpetuity_truncated_series_exit(tmp_path, capsys, monkeypatch):
+    # near rho = 2 some series draws are still above the tail bound at
+    # k_max (51 of 1,000 annuity draws at the default k_max); a lower k_max
+    # reaches the same refusal fast
+    monkeypatch.setattr(
+        perpetuity, "sample_series_batch", functools.partial(perpetuity.sample_series_batch, k_max=64)
+    )
+    cfg = _write(
+        tmp_path / "perp_edge.cfg",
+        "family = poisson\nepsilon = 0.02\nrho = 1.97\nn_samples = 200\nseed = 1\n",
+    )
+    out = tmp_path / "perp_edge.csv"
+    assert main(["perpetuity", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: resource overrun: ") and "k_max" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("reps", ["0", "-3"])

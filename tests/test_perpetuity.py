@@ -3,6 +3,7 @@ chain samplers, annuity diagnostics, and limit-law mapping."""
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from haldane import (
     regime_of,
     rng_stream,
 )
+from haldane import _engines
 from haldane._engines import _CHECK_EVERY
 from haldane.numerics import ks_threshold
 from haldane.perpetuity import (
@@ -88,6 +90,77 @@ def test_finite_shape_values_five_point_template():
     means = model.sample_means(rng_stream(8, 1), size=2000)
     expected = np.array([model.law_for_mean(float(m)).shape_at_one() for m in means])
     np.testing.assert_allclose(_limit_shape_values(model, means), expected, rtol=1e-14, atol=0.0)
+
+
+def _pairs_from_means(model, means):
+    """The coupled pair mapped from drawn means one by one: A = 1/2
+    (Poisson), 1/(1-p0) - 1/m (linear-fractional) or the law's shape at
+    one (finite), and B = 1/m."""
+    family = model.family
+    if family.name == "poisson":
+        a = np.full(means.shape, 0.5)
+    elif family.name == "linear_fractional":
+        a = 1.0 / (1.0 - family.p0) - 1.0 / means
+    else:
+        shape = {m: model.law_for_mean(m).shape_at_one() for m in model.support_means()}
+        a = np.vectorize(shape.__getitem__, otypes=[float])(means)
+    return a, 1.0 / means
+
+
+_TWO_POINT_MODELS = {
+    "poisson": lambda: make_environment("poisson", 0.05, 0.05),
+    "lf": lambda: make_environment("linear_fractional", 0.05, 0.05),
+    "finite": lambda: make_environment("finite", 0.05, 0.05),
+    "finite5": lambda: make_environment("finite", 0.05, 0.025, template=(0.1, 0.2, 0.3, 0.25, 0.15)),
+}
+
+
+@pytest.mark.parametrize("rows", [1, 8])
+@pytest.mark.parametrize("name", sorted(_TWO_POINT_MODELS))
+def test_two_point_pairs_match_pairs_from_means(name, rows):
+    """Under two-point noise the pairs come from octet tables, not from
+    drawn means; they are bitwise the means' pairs, and the stream reads on
+    as after the means draw (the words past each row's padding included)."""
+    model = _TWO_POINT_MODELS[name]()
+    spec = from_environment(model)
+    for width in (1, 31, 33, 4097):
+        rng, twin = rng_stream(14, width), rng_stream(14, width)
+        a, b = spec.sample_pairs(rng, rows * width, rows)
+        ref_a, ref_b = _pairs_from_means(model, model.sample_means(twin, rows * width, rows))
+        assert a.shape == b.shape == ref_a.shape
+        assert np.array_equal(a, ref_a) and np.array_equal(b, ref_b)
+        next_words = (r.generator.integers(0, 2**32, 4, dtype=np.uint32) for r in (rng, twin))
+        assert np.array_equal(*next_words)
+
+
+def test_block_rows_keep_blocks_below_huge_pages():
+    # a float64 block stays below the 4 MiB from which numpy maps arrays
+    # with huge pages, and within 2 MiB with its rows padded to whole 32-bit
+    # stream words, as the octet lookups allocate it
+    for lanes in [*range(1, 4097), *range(4097, 2**18 + 1, 97), 32_767, 32_768, 32_769, 2**18]:
+        rows = _engines._block_rows(lanes)
+        assert rows * lanes * 8 < 4 << 20
+        assert rows * 32 * -(-lanes // 32) * 8 <= 2 << 20
+    assert _engines._block_rows(25_000) == 8 and _engines._block_rows(32_769) == 4
+
+
+def test_series_peak_memory_per_lane_plus_two_blocks():
+    """25,000 lanes draw 8 terms per call; the traced peak stays within two
+    float64 blocks, A and B, plus 64 bytes per lane: its state (values,
+    flags, index, discount, sum and term, 41 bytes) and the block's packed
+    bytes with their intp indices (9 bytes at 8 rows).  A third live block
+    (say, drawn means mapped to pairs) would pass the bound."""
+    lanes = 25_000
+    spec = from_environment(make_environment("linear_fractional", 0.05, 0.05))
+    sample_series_batch(spec, 64, rng_stream(9, 0))  # first-use allocations
+    tracemalloc.start()
+    try:
+        values, flags = sample_series_batch(spec, lanes, rng_stream(9, 1), tol=1e-3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not flags.any()
+    assert peak <= 64 * lanes + 2 * 8 * _engines._BLOCK_DRAWS
 
 
 def test_two_point_law_sample_exact_values():
