@@ -6,14 +6,14 @@ so results are reproducible bit-for-bit for a given ``(seed, n_reps)`` no
 matter how batches are scheduled.  Aggregation happens in
 :func:`haldane.numerics.combine_batch_stats`, which is order-insensitive.
 
-Three generating-function routes exist:
+Two generating-function routes exist, one per family kind (a degenerate
+environment runs one lane of its family's route):
 
-* a scalar fixed-point iteration when the environment is degenerate
-  (every path is identical, so one iteration settles all replicates);
 * for linear-fractional families, the reciprocal-survival identity as an
-  annuity sum, one running sum and one discount per lane, with the
-  stopping rule tested every ``_CHECK_EVERY`` generations and up to that
-  many generations drawn per stream call (:func:`_block_rows`);
+  annuity sum (:func:`gf_lf_batch`) in :func:`annuity_batch`, the kernel
+  that the perpetuity series sampler shares: one running sum and one
+  discount per lane, the stopping rule tested every ``_CHECK_EVERY``
+  generations, and up to that many generations drawn per stream call;
 * for every other family under either noise kind, a block-doubling
   backward replay over a stored environment matrix (packed stream bits
   under two-point noise, one float64 law parameter per lane and
@@ -48,8 +48,8 @@ BATCH_SIZE = 16384
 # by the remaining survival mass, so stopping here is exact to 1e-15.
 EXTINCTION_FLOOR = 1e-15
 
-# The annuity-sum loops test their stopping rules every this many
-# generations (and at their horizon cap); between checks the live lanes do
+# The annuity kernel tests its stopping rule every this many generations
+# (and at its horizon cap); between checks the live lanes do
 # not change, so the generations up to the next check are drawn in blocks.
 _CHECK_EVERY = 8
 
@@ -62,9 +62,8 @@ _BLOCK_DRAWS = 2**18
 
 
 def _block_rows(lanes: int) -> int:
-    """Generations (or series terms) per draw of the annuity loops
-    (:func:`gf_lf_batch`, ``perpetuity.sample_series_batch``) at ``lanes``
-    live lanes: the largest of 8, 4, 2, 1 whose block holds at most
+    """Generations per draw of :func:`annuity_batch` at ``lanes`` live
+    lanes: the largest of 8, 4, 2, 1 whose block holds at most
     ``_BLOCK_DRAWS`` draws, and 1 when none does."""
     return next(r for r in (8, 4, 2, 1) if r * lanes <= _BLOCK_DRAWS or r == 1)
 
@@ -82,37 +81,64 @@ class HorizonStorageError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Deterministic environment: one path decides every replicate
+# Annuity sums: the LF survival kernel and the perpetuity series
 # ---------------------------------------------------------------------------
 
-def gf_deterministic(law: OffspringLaw, tol_q: float, tol_mu: float, n_max: int):
-    """Iterate the one-step survival map of a fixed law.
+def annuity_batch(n_lanes: int, n_max: int, draw, step, stop):
+    """Run ``n_lanes`` annuity sums ``acc = sum_k c_k a_{k+1}``, each lane
+    to its own stopping generation or to ``n_max``.
 
-    Returns (survival, flagged, n_steps): the conditional survival at the
-    adaptive horizon, whether the horizon was exhausted, and the number of
-    generations composed.
+    Each lane carries the running sum ``acc`` (from 0) and the discount
+    ``c`` (from 1).  ``draw(rows, lanes)`` returns a block of ``rows``
+    generations for the ``lanes`` live lanes, and ``step(acc, c, block, j)``
+    advances them in place by row j of it.  ``stop(acc, c, prev)``, with
+    ``prev`` the sums one generation earlier, returns (value, done) per
+    live lane; it is evaluated only at every ``_CHECK_EVERY``-th
+    generation and at ``n_max``, so a lane runs at most
+    ``_CHECK_EVERY - 1`` generations past its first eligible stop.  Done
+    lanes retire with their value; lanes still live at ``n_max`` keep
+    theirs and are flagged.
+
+    Between checks the live lanes do not change, so up to 8 generations
+    (:func:`_block_rows`) come from one ``draw``, whose rows must be what
+    one draw per generation would give; the steps then run in the same
+    order as with one draw per generation, so values, flags and stream use
+    do not depend on the block width.
+
+    Returns (values, flagged mask) as arrays of length n_lanes.
     """
-    log_m = math.log(law.mean())
-    log_tol_mu = math.log(tol_mu)
-    r = 1.0
-    flagged = True
+    if n_max < 1:
+        raise ValueError(f"need a horizon of at least 1 generation, got {n_max}")
+    acc = np.zeros(n_lanes)
+    c = np.ones(n_lanes)
+    idx = np.arange(n_lanes)
+    values = np.zeros(n_lanes)
+    flagged = np.zeros(n_lanes, dtype=bool)
+
     n = 0
-    for n in range(1, n_max + 1):
-        r_new = law.survival_map(r)
-        inc = r - r_new
-        r = r_new
-        if r < EXTINCTION_FLOOR:
-            flagged = False
-            break
-        if inc < tol_q and n * log_m > -log_tol_mu:
-            flagged = False
-            break
-    return r, flagged, n
+    while idx.size and n < n_max:
+        lanes = idx.size
+        rows = _block_rows(lanes)
+        check_at = min(n + _CHECK_EVERY, n_max)
+        while n < check_at:
+            width = min(rows, check_at - n)
+            block = draw(width, lanes)
+            for j in range(width):
+                if n + j + 1 == check_at:
+                    prev = acc.copy()
+                step(acc, c, block, j)
+            n += width
+            block = None  # release the block before the next draw
+        value, done = stop(acc, c, prev)
+        if n == n_max:
+            values[idx] = value
+            flagged[idx] = ~done
+        elif np.any(done):
+            values[idx[done]] = value[done]
+            keep = ~done
+            acc, c, idx = acc[keep], c[keep], idx[keep]
+    return values, flagged
 
-
-# ---------------------------------------------------------------------------
-# Linear-fractional families: the survival identity as an annuity sum
-# ---------------------------------------------------------------------------
 
 def gf_lf_batch(
     model: EnvironmentModel,
@@ -129,20 +155,10 @@ def gf_lf_batch(
     psi = 1/(1-p0) - 1/m, so the reciprocal-survival identity
         1/r_n = 1/mu_n + sum_{k<n} psi_{k+1}/mu_k
               = 1/mu_n + S_n/(1-p0) - (S_n - 1 + 1/mu_n) = 1 + kappa*S_n
-    with S_n = sum_{k<n} 1/mu_k and kappa = p0/(1-p0).  Each lane carries
-    the running sum S and the discount C = 1/mu, and needs no path storage.
-
-    The stopping rule (r_n below the extinction floor, or the one-step
-    increment r_{n-1} - r_n below tol_q once C < tol_mu) is evaluated only
-    at every ``_CHECK_EVERY``-th generation and at ``n_max``, so a lane runs
-    at most ``_CHECK_EVERY - 1`` generations past its first eligible stop;
-    the extra generations only shrink the truncation error.
-
-    Between checks the live lanes do not change, so up to 8 generations
-    (:func:`_block_rows`) come from one ``sample_means`` call, whose rows
-    are what one call per generation would draw; each generation then runs
-    ``S += C; C /= m`` in the same order as with one call per generation,
-    so values, flags and stream use do not depend on the block width.
+    with S_n = sum_{k<n} 1/mu_k and kappa = p0/(1-p0): an annuity with
+    A = 1 and B = 1/m, run by :func:`annuity_batch` as ``S += C; C /= m``.
+    A lane stops when r_n is below the extinction floor, or when the
+    one-step increment r_{n-1} - r_n is below tol_q once C = 1/mu_n < tol_mu.
 
     Returns (survival values, flagged mask) as arrays of length n_lanes.
     """
@@ -150,38 +166,19 @@ def gf_lf_batch(
     p0 = model.family.p0
     kappa = p0 / (1.0 - p0)
 
-    total = np.zeros(n_lanes)     # S_n
-    discount = np.ones(n_lanes)   # 1/mu_n
-    idx = np.arange(n_lanes)
+    def draw(rows, lanes):
+        return model.sample_means(stream, rows * lanes, rows).reshape(rows, lanes)
 
-    values = np.zeros(n_lanes)
-    flagged = np.zeros(n_lanes, dtype=bool)
+    def step(total, discount, m, j):
+        total += discount
+        discount /= m[j]
 
-    n = 0
-    while idx.size and n < n_max:
-        lanes = idx.size
-        rows = _block_rows(lanes)
-        check_at = min(n + _CHECK_EVERY, n_max)
-        while n < check_at:
-            step = min(rows, check_at - n)
-            m = model.sample_means(stream, step * lanes, step).reshape(step, lanes)
-            for j in range(step):
-                if n + j + 1 == check_at:
-                    prev_r = 1.0 / (1.0 + kappa * total)
-                total += discount
-                discount /= m[j]
-            n += step
-            m = None  # release the block before the next draw
+    def stop(total, discount, prev_total):
         r = 1.0 / (1.0 + kappa * total)
-        done = (r < EXTINCTION_FLOOR) | ((prev_r - r < tol_q) & (discount < tol_mu))
-        if n == n_max:
-            values[idx] = r
-            flagged[idx] = ~done
-        elif np.any(done):
-            values[idx[done]] = r[done]
-            keep = ~done
-            total, discount, idx = total[keep], discount[keep], idx[keep]
-    return values, flagged
+        prev_r = 1.0 / (1.0 + kappa * prev_total)
+        return r, (r < EXTINCTION_FLOOR) | ((prev_r - r < tol_q) & (discount < tol_mu))
+
+    return annuity_batch(n_lanes, n_max, draw, step, stop)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +312,7 @@ def gf_replay_batch(
     log_tol_mu = -math.log(tol_mu)
     log_floor = math.log(EXTINCTION_FLOOR)
     if packed:
-        m_lo, m_hi = model.support_means()
+        m_lo, m_hi = model.mean_bounds()
         log_support = (math.log(m_lo), math.log(m_hi))
         table = family.step_coefficients(family.law_params([m_lo, m_hi]))
     else:

@@ -58,7 +58,7 @@ _SURVIVAL_COLUMNS = (
 
 _PERPETUITY_COLUMNS = (
     "beta", "gamma", "rho_hat", "alpha", "limit_kind", "limit_a", "limit_b",
-    "ks_distance", "annuity_ks", "n_samples", "seed",
+    "ks_distance", "annuity_ks", "n_samples", "n_flagged", "seed",
 )
 
 
@@ -381,7 +381,7 @@ def cmd_perpetuity(args) -> int:
         "alpha": regime.alpha, "limit_kind": limit_kind,
         "limit_a": limit_a, "limit_b": limit_b,
         "ks_distance": ks_column, "annuity_ks": annuity_ks,
-        "n_samples": n_samples, "seed": seed,
+        "n_samples": n_samples, "n_flagged": fit.n_flagged, "seed": seed,
     }]
     _write_table(args.out, "perpetuity", _PERPETUITY_COLUMNS, rows, args.json)
     return 0

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._engines import _CHECK_EVERY, _block_rows
+from ._engines import annuity_batch
 from .environment import TWO_POINT, UNIFORM, EnvironmentModel, LinearFractionalFamily, PoissonFamily
 from .numerics import (
     InverseGammaParams, RandomStream, invgamma_cdf, ks_one_sample, ks_two_sample, octet_values,
@@ -347,56 +347,32 @@ def sample_series_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``n`` draws of the series by direct partial summation.
 
-    Each lane runs ``acc += C_k * A_{k+1}; C_{k+1} = C_k * B_{k+1}`` and
-    stops once C_k * sup(A) / (1 - exp(-theta)) < tol with theta the spec's
-    contraction rate, so the discarded tail is below ``tol`` in
-    expectation.  The rule is tested every ``_CHECK_EVERY`` terms and at
-    ``k_max``, so a lane may add up to ``_CHECK_EVERY - 1`` terms past its
-    first eligible stop.  Lanes still live at ``k_max`` are flagged.
-
-    Between checks the live lanes do not change, so up to 8 terms
-    (``_engines._block_rows``: 8 up to 32,768 live lanes) come from one
-    ``sample_pairs`` call, whose rows are what one call per term would
-    draw; each term then runs the same updates in the same order as with
-    one call per term.  Under two-point noise the call reads each pair from
-    the spec's octet tables (a constant A is a broadcast, not a block).
+    Each lane runs ``acc += C_k * A_{k+1}; C_{k+1} = C_k * B_{k+1}`` in
+    :func:`haldane._engines.annuity_batch`, which sets how often the rule
+    is tested and how many terms one ``sample_pairs`` call draws.  A lane
+    stops once C_k * sup(A) / (1 - exp(-theta)) < tol with theta the
+    spec's contraction rate, so the discarded tail is below ``tol`` in
+    expectation; lanes still live at ``k_max`` are flagged.  Under
+    two-point noise the pairs are read from the spec's octet tables (a
+    constant A is a broadcast, not a block).
     """
     regime_of(spec)  # admissibility gate
     _, theta = contraction_rate(spec)
     tail_scale = spec.a_upper() if math.isinf(theta) else spec.a_upper() / (-math.expm1(-theta))
     c_tol = tol / max(tail_scale, 1e-300)
-
-    values = np.zeros(n)
-    flags = np.ones(n, dtype=bool)
-    idx = np.arange(n)
-    c = np.ones(n)
-    acc = np.zeros(n)
     term = np.empty(n)
 
-    k = 0
-    while idx.size and k < k_max:
-        lanes = idx.size
-        rows = _block_rows(lanes)
-        check_at = min(k + _CHECK_EVERY, k_max)
-        while k < check_at:
-            step = min(rows, check_at - k)
-            a, b = spec.sample_pairs(rng, step * lanes, step)
-            a, b = a.reshape(step, lanes), b.reshape(step, lanes)
-            for j in range(step):
-                np.multiply(c, a[j], out=term)
-                acc += term
-                c *= b[j]
-            k += step
-            a = b = None  # release the block before the next draw
-        done = c < c_tol
-        if np.any(done):
-            values[idx[done]] = acc[done]
-            flags[idx[done]] = False
-            keep = ~done
-            idx, c, acc, term = idx[keep], c[keep], acc[keep], term[keep]
-    if idx.size:
-        values[idx] = acc
-    return values, flags
+    def draw(rows, lanes):
+        a, b = spec.sample_pairs(rng, rows * lanes, rows)
+        return a.reshape(rows, lanes), b.reshape(rows, lanes)
+
+    def step(acc, c, block, j):
+        out = term[:c.size]
+        np.multiply(c, block[0][j], out=out)
+        acc += out
+        c *= block[1][j]
+
+    return annuity_batch(n, k_max, draw, step, lambda acc, c, prev: (acc, c < c_tol))
 
 
 def default_burn_in(spec: PerpetuitySpec) -> int:

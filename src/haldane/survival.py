@@ -21,6 +21,7 @@ and an agent-level population simulation used as a validation oracle.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -32,6 +33,7 @@ from .environment import (
     EnvironmentModel,
     LinearFractionalFamily,
     RegimeParams,
+    make_environment,
     regime_classify,
 )
 from .numerics import EstimateResult, RandomStream, combine_batch_stats
@@ -260,8 +262,8 @@ def estimate_survival_gf(
     Replicates are grouped into fixed batches of 16384 lanes; batch j
     draws from stream ``(seed, stream_base + j)``, making the result a
     pure function of ``(seed, n_reps)``.  With a degenerate environment
-    every path coincides, so the estimate is returned with zero standard
-    error.
+    every path coincides, so one lane of the family's engine, on stream
+    ``(seed, stream_base)``, gives the estimate with zero standard error.
     """
     if n_reps < 1:
         raise ValueError(f"need n_reps >= 1, got {n_reps}")
@@ -269,38 +271,34 @@ def estimate_survival_gf(
         raise ValueError("tolerances must lie in (0, 1)")
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")
+    if isinstance(model.family, LinearFractionalFamily):
+        engine = _engines.gf_lf_batch
+    else:
+        engine = _engines.gf_replay_batch
 
-    if model.nu == 0.0:
-        law = model.law_for_mean(1.0 + model.epsilon)
-        value, flagged, _ = _engines.gf_deterministic(law, tol_q, tol_mu, n_max)
-        return EstimateResult(
-            estimate=value,
-            std_error=0.0,
-            ci_lo=value,
-            ci_hi=value,
-            n_reps=n_reps,
-            seed=seed,
-            n_flagged=n_reps if flagged else 0,
-        )
-
-    batches = []
-    n_flagged = 0
-    remaining = n_reps
-    batch_index = 0
-    while remaining > 0:
-        lanes = min(_engines.BATCH_SIZE, remaining)
-        stream_id = stream_base + batch_index
-        if isinstance(model.family, LinearFractionalFamily):
-            engine = _engines.gf_lf_batch
-        else:
-            engine = _engines.gf_replay_batch
+    def run_batch(lanes, stream_id):
         values, flagged = engine(model, lanes, seed, stream_id, tol_q, tol_mu, n_max)
         total = float(np.sum(values))
-        batches.append((lanes, total, float(np.sum((values - total / lanes) ** 2))))
-        n_flagged += int(np.count_nonzero(flagged))
-        remaining -= lanes
-        batch_index += 1
-    return combine_batch_stats(batches, seed=seed, n_flagged=n_flagged)
+        return (lanes, total, float(np.sum((values - total / lanes) ** 2))), int(np.count_nonzero(flagged))
+
+    # with nu = 0 every path coincides, so one replicate stands for all
+    reps = 1 if model.nu == 0.0 else n_reps
+    batches, n_flagged = _run_batches(reps, stream_base, run_batch)
+    result = combine_batch_stats(batches, seed=seed, n_flagged=n_flagged * (n_reps // reps))
+    return dataclasses.replace(result, n_reps=n_reps)
+
+
+def _run_batches(n_reps: int, stream_base: int, run_batch):
+    """The (count, sum, M2) triples and summed lane count that
+    ``run_batch(lanes, stream_id)`` returns for batches of up to
+    ``BATCH_SIZE`` of ``n_reps`` lanes, batch j on ``stream_base + j``."""
+    batches = []
+    n_marked = 0
+    for j, start in enumerate(range(0, n_reps, _engines.BATCH_SIZE)):
+        stats, marked = run_batch(min(_engines.BATCH_SIZE, n_reps - start), stream_base + j)
+        batches.append(stats)
+        n_marked += marked
+    return batches, n_marked
 
 
 # ---------------------------------------------------------------------------
@@ -342,20 +340,12 @@ def simulate_population(
         )
     cap = max(2, math.ceil(cap_multiplier / model.epsilon))
 
-    batches = []
-    n_overrun = 0
-    remaining = n_reps
-    batch_index = 0
-    while remaining > 0:
-        lanes = min(_engines.BATCH_SIZE, remaining)
-        survived, overrun = _engines.population_batch(
-            model, lanes, seed, stream_base + batch_index, cap, max_individuals
-        )
+    def run_batch(lanes, stream_id):
+        survived, overrun = _engines.population_batch(model, lanes, seed, stream_id, cap, max_individuals)
         total = float(np.count_nonzero(survived))
-        batches.append((lanes, total, total - total * total / lanes))
-        n_overrun += int(np.count_nonzero(overrun))
-        remaining -= lanes
-        batch_index += 1
+        return (lanes, total, total - total * total / lanes), int(np.count_nonzero(overrun))
+
+    batches, n_overrun = _run_batches(n_reps, stream_base, run_batch)
     return combine_batch_stats(batches, seed=seed, n_overrun=n_overrun)
 
 
@@ -407,7 +397,7 @@ def haldane_sweep(
         raise ValueError(f"need rho >= 0, got {rho}")
     rows = []
     for i, eps in enumerate(eps_list):
-        model = make_row_model(family, eps, rho, noise)
+        model = make_environment(family, epsilon=eps, nu=rho * eps, noise=noise)
         params = RegimeParams.from_environment(model)
         result = estimate_survival_gf(
             model,
@@ -433,9 +423,3 @@ def haldane_sweep(
         )
     return rows
 
-
-def make_row_model(family, eps: float, rho: float, noise: str) -> EnvironmentModel:
-    """Environment at one sweep point (exact coupling nu = rho * eps)."""
-    from .environment import make_environment
-
-    return make_environment(family, epsilon=eps, nu=rho * eps, noise=noise)

@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from haldane import perpetuity, verify
+from haldane import perpetuity, rng_stream, verify
 from haldane.cli import main
 
 
@@ -222,6 +222,27 @@ def test_perpetuity_truncated_series_exit(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error: resource overrun: ") and "k_max" in err
     assert not out.exists()
+
+
+def test_perpetuity_reports_flagged_draws(tmp_path, monkeypatch):
+    # at k_max = 64 the fit's tolerance of 1e-18 cuts about half of its
+    # draws, while the annuity check's default 1e-6 cuts none
+    monkeypatch.setattr(
+        perpetuity, "sample_series_batch", functools.partial(perpetuity.sample_series_batch, k_max=64)
+    )
+    cfg = _write(
+        tmp_path / "perp_cut.cfg",
+        "mode = scalar\na_kind = constant\na_value = 1.0\nb_kind = two_point\n"
+        "b_lo = 0.3\nb_hi = 0.9\nn_samples = 2000\nseed = 5\ntol = 1e-18\n",
+    )
+    out = tmp_path / "perp_cut.csv"
+    assert main(["perpetuity", "--config", cfg, "--out", str(out)]) == 0
+    header, body = (line.split(",") for line in _body(out))
+    assert header[header.index("n_samples") + 1] == "n_flagged"
+    spec = perpetuity.PerpetuitySpec(a_law=perpetuity.ConstantLaw(1.0), b_law=perpetuity.TwoPointLaw(0.3, 0.9))
+    fit = perpetuity.limit_fit_test(spec, 2000, rng_stream(5, 0), tol=1e-18)
+    assert 0 < fit.n_flagged < 2000
+    assert int(dict(zip(header, body))["n_flagged"]) == fit.n_flagged
 
 
 @pytest.mark.parametrize("reps", ["0", "-3"])

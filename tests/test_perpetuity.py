@@ -260,6 +260,13 @@ def test_series_zero_discount():
     assert values[0] == 1.0 and not flags[0]
 
 
+def test_series_rejects_empty_horizon():
+    # with no term summed no lane has met its tail bound
+    spec = PerpetuitySpec(a_law=ConstantLaw(1.0), b_law=ConstantLaw(0.5))
+    with pytest.raises(ValueError, match="horizon"):
+        sample_series_batch(spec, 4, rng_stream(1, 0), k_max=0)
+
+
 def test_series_fixed_point_value_constant_spec():
     # the truncated sum must satisfy the annuity recursion up to tol
     spec = PerpetuitySpec(a_law=ConstantLaw(1.0), b_law=ConstantLaw(0.5))

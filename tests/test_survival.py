@@ -173,6 +173,14 @@ def test_gw_fixed_point_against_transcendental_root():
     assert gw_fixed_point_survival(FinitePmf((0.0, 0.0, 1.0))) == 1.0
 
 
+def test_gw_fixed_point_poisson_expansion():
+    # pi(1+eps)/(2 eps) = 1 - (4/3) eps + (14/9) eps^2 + O(eps^3), the
+    # approach to 1 that A1 checks; the cubic term is about -1.7 eps^3
+    for eps in (0.02, 0.01, 0.005):
+        ratio = gw_fixed_point_survival(Poisson(1.0 + eps)) / (2.0 * eps)
+        assert abs(ratio - (1.0 - 4.0 / 3.0 * eps + 14.0 / 9.0 * eps**2)) < 2.0 * eps**3
+
+
 # ---------------------------------------------------------------------------
 # Haldane predictions
 # ---------------------------------------------------------------------------
@@ -196,6 +204,22 @@ def test_gf_estimator_degenerate_matches_oracle():
     assert res.std_error == 0.0
     assert res.estimate == pytest.approx(oracle, abs=3 * res.std_error + 1e-5)
     assert res.n_flagged == 0
+
+
+@pytest.mark.parametrize("noise", ["two_point", "uniform"])
+@pytest.mark.parametrize("family", ["poisson", "linear_fractional", "finite"])
+def test_gf_estimator_degenerate_runs_family_engine(family, noise):
+    """With nu = 0 every path coincides, and one lane of the family's own
+    engine gives the estimate: the fixed point to within the engine's
+    truncation (the replay, whose first horizon is 256 generations, to
+    1e-10), and every replicate flagged when n_max is too short."""
+    for eps in (0.1, 0.05, 0.02):
+        model = make_environment(family, epsilon=eps, nu=0.0, noise=noise)
+        oracle = gw_fixed_point_survival(model.law_for_mean(1.0 + eps))
+        res = estimate_survival_gf(model, n_reps=1000, seed=3)
+        assert abs(res.estimate - oracle) < (1e-6 if family == "linear_fractional" else 1e-10)
+        assert (res.std_error, res.n_flagged, res.n_reps) == (0.0, 0, 1000)
+        assert estimate_survival_gf(model, n_reps=1000, seed=3, n_max=50).n_flagged == 1000
 
 
 def test_gf_estimator_one_child_flags_horizon():
