@@ -374,6 +374,7 @@ class EnvironmentModel:
         return two_point_octets(*self.mean_bounds())
 
     # -- exact moments of the law mean ---------------------------------------
+    # A point mass (m_lo == m_hi, nu = 0) takes the two-point formulas: 0.5*(x + x) == x.
 
     def inverse_moment(self, r: float) -> float:
         """E[mean**(-r)], exact for both noise kinds (any r >= 0)."""
@@ -382,9 +383,7 @@ class EnvironmentModel:
         if r == 0.0:
             return 1.0
         m_lo, m_hi = self.mean_bounds()
-        if self.nu == 0.0:
-            return (1.0 + self.epsilon) ** (-r)
-        if self.noise == TWO_POINT:
+        if self.noise == TWO_POINT or m_lo == m_hi:
             return 0.5 * (m_lo ** (-r) + m_hi ** (-r))
         width = m_hi - m_lo
         if r == 1.0:
@@ -394,9 +393,7 @@ class EnvironmentModel:
     def log_moment(self) -> float:
         """E[log mean], exact for both noise kinds."""
         m_lo, m_hi = self.mean_bounds()
-        if self.nu == 0.0:
-            return math.log(1.0 + self.epsilon)
-        if self.noise == TWO_POINT:
+        if self.noise == TWO_POINT or m_lo == m_hi:
             return 0.5 * (math.log(m_lo) + math.log(m_hi))
         width = m_hi - m_lo
         primitive = lambda t: t * math.log(t) - t
@@ -404,14 +401,11 @@ class EnvironmentModel:
 
     def mean_expectation(self, transform) -> float:
         """E[transform(mean)] over the noise law (quadrature for uniform)."""
-        if self.nu == 0.0:
-            return transform(1.0 + self.epsilon)
-        if self.noise == TWO_POINT:
-            m_lo, m_hi = self.mean_bounds()
+        m_lo, m_hi = self.mean_bounds()
+        if self.noise == TWO_POINT or m_lo == m_hi:
             return 0.5 * (transform(m_lo) + transform(m_hi))
         from scipy import integrate
 
-        m_lo, m_hi = self.mean_bounds()
         value, _ = integrate.quad(transform, m_lo, m_hi, epsabs=1e-12, epsrel=1e-10, limit=200)
         return value / (m_hi - m_lo)
 

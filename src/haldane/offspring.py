@@ -15,11 +15,17 @@ defining difference cancels catastrophically near s = 1, so every family
 here uses an algebraically rearranged form that is accurate to machine
 precision on all of [0, 1] (see the individual ``shape`` implementations).
 
-All evaluation methods accept scalars or numpy arrays.
+All evaluation methods accept scalars or numpy arrays, with each formula
+written once: ``_elementwise`` runs it on a float as it is (10-50x cheaper
+than on a 0-d array) and on anything else as a float array, so a float
+gives the bits of a one-element array.  Only Poisson keeps a float path of
+its own, ``math.expm1``: 10x faster on a float than ``np.expm1``, and up
+to 8.2e-16 relative away from it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -54,8 +60,29 @@ def _scalar_like(value: np.ndarray, template) -> float | np.ndarray:
     return value
 
 
+def _elementwise(formula):
+    """Method decorator: ``formula(self, x)`` on a float ``x`` as it is (so
+    np.float64 in gives np.float64 out), on anything else as a float array."""
+
+    @functools.wraps(formula)
+    def method(self, x):
+        if isinstance(x, float):
+            return formula(self, x)
+        return _scalar_like(formula(self, np.asarray(x, dtype=float)), x)
+
+    return method
+
+
+class _Law:
+    """What the three laws share: the variance from the factorial moments."""
+
+    def variance(self) -> float:
+        m = self.mean()
+        return self.second_factorial_moment() + m - m * m
+
+
 @dataclass(frozen=True)
-class Poisson:
+class Poisson(_Law):
     """Poisson offspring law with rate ``lam``."""
 
     lam: float
@@ -72,8 +99,7 @@ class Poisson:
         """One-step survival recursion 1 - f(1 - r), cancellation free."""
         if isinstance(r, float):
             return -math.expm1(-self.lam * r)
-        arr = np.asarray(r, dtype=float)
-        return _scalar_like(-np.expm1(-self.lam * arr), r)
+        return _scalar_like(-np.expm1(-self.lam * np.asarray(r, dtype=float)), r)
 
     def mean(self) -> float:
         return self.lam
@@ -81,23 +107,15 @@ class Poisson:
     def second_factorial_moment(self) -> float:
         return self.lam * self.lam
 
-    def variance(self) -> float:
-        m = self.mean()
-        return self.second_factorial_moment() + m - m * m
-
+    @_elementwise
     def shape(self, s):
         _check_unit_interval(s)
-        if isinstance(s, float):
-            return _shifted_coth_scalar(self.lam * (1.0 - s))
-        x = self.lam * (1.0 - np.asarray(s, dtype=float))
-        return _scalar_like(_shifted_coth(x), s)
+        return self.shape_from_survival(1.0 - s)
 
+    @_elementwise
     def shape_from_survival(self, r):
         """shape(1 - r) evaluated directly from the survival weight r."""
-        if isinstance(r, float):
-            return _shifted_coth_scalar(self.lam * r)
-        x = self.lam * np.asarray(r, dtype=float)
-        return _scalar_like(_shifted_coth(x), r)
+        return _shifted_coth(self.lam * r)
 
     def shape_at_one(self) -> float:
         return 0.5
@@ -109,33 +127,30 @@ class Poisson:
         return int(draw) if size is None else draw
 
 
+def _coth_series(x):
+    # 1/(1-e^{-x}) - 1/x = 1/2 + x/12 - x^3/720 + x^5/30240 - x^7/1209600 ...
+    x2 = x * x
+    return 0.5 + x * (1.0 / 12.0 + x2 * (-1.0 / 720.0 + x2 * (1.0 / 30240.0 - x2 / 1209600.0)))
+
+
 def _shifted_coth(x):
     """g(x) = 1/(1 - exp(-x)) - 1/x, the Poisson shape profile.
 
     Series below 0.5 (the direct form cancels there), expm1 form above.
     g(0) = 1/2 and g is increasing on [0, inf).
     """
-    x = np.asarray(x, dtype=float)
+    if isinstance(x, float):
+        return _coth_series(x) if x < 0.5 else 1.0 / (-math.expm1(-x)) - 1.0 / x
     small = x < 0.5
     out = np.empty_like(x)
-    xs = x[small]
-    x2 = xs * xs
-    # 1/(1-e^{-x}) - 1/x = 1/2 + x/12 - x^3/720 + x^5/30240 - x^7/1209600 ...
-    out[small] = 0.5 + xs * (1.0 / 12.0 + x2 * (-1.0 / 720.0 + x2 * (1.0 / 30240.0 - x2 / 1209600.0)))
+    out[small] = _coth_series(x[small])
     xl = x[~small]
     out[~small] = 1.0 / (-np.expm1(-xl)) - 1.0 / xl
     return out
 
 
-def _shifted_coth_scalar(x: float) -> float:
-    if x < 0.5:
-        x2 = x * x
-        return 0.5 + x * (1.0 / 12.0 + x2 * (-1.0 / 720.0 + x2 * (1.0 / 30240.0 - x2 / 1209600.0)))
-    return 1.0 / (-math.expm1(-x)) - 1.0 / x
-
-
 @dataclass(frozen=True)
-class LinearFractional:
+class LinearFractional(_Law):
     """Offspring law with zero-mass ``p0`` and geometric tail parameter ``p``:
     weight (1-p0)*(1-p)*p**(k-1) at k >= 1.
 
@@ -157,13 +172,10 @@ class LinearFractional:
         value = self.p0 + (1.0 - self.p0) * (1.0 - self.p) * arr / (1.0 - self.p * arr)
         return _scalar_like(value, s)
 
+    @_elementwise
     def survival_map(self, r):
         # 1 - f(1-r) = (1-p0) r / ((1-p) + p r): all terms positive.
-        if isinstance(r, float):
-            return (1.0 - self.p0) * r / ((1.0 - self.p) + self.p * r)
-        arr = np.asarray(r, dtype=float)
-        value = (1.0 - self.p0) * arr / ((1.0 - self.p) + self.p * arr)
-        return _scalar_like(value, r)
+        return (1.0 - self.p0) * r / ((1.0 - self.p) + self.p * r)
 
     def mean(self) -> float:
         return (1.0 - self.p0) / (1.0 - self.p)
@@ -171,22 +183,13 @@ class LinearFractional:
     def second_factorial_moment(self) -> float:
         return 2.0 * (1.0 - self.p0) * self.p / ((1.0 - self.p) ** 2)
 
-    def variance(self) -> float:
-        m = self.mean()
-        return self.second_factorial_moment() + m - m * m
-
     def shape(self, s):
         _check_unit_interval(s)
-        const = self.p / (1.0 - self.p0)
-        if np.isscalar(s) or np.ndim(s) == 0:
-            return const
-        return np.full(np.shape(s), const)
+        return self.shape_from_survival(s)  # a constant: shape(s) = shape(1 - s)
 
     def shape_from_survival(self, r):
-        const = self.p / (1.0 - self.p0)
-        if np.isscalar(r) or np.ndim(r) == 0:
-            return const
-        return np.full(np.shape(r), const)
+        const = self.shape_at_one()
+        return const if np.isscalar(r) else _scalar_like(np.full(np.shape(r), const), r)
 
     def shape_at_one(self) -> float:
         return self.p / (1.0 - self.p0)
@@ -221,7 +224,7 @@ def finite_tail_sum(weights, s: np.ndarray) -> np.ndarray:
     from w_1 itself (its factor is 1), so T may only broadcast against s.
     """
     if len(weights) == 0:
-        return np.zeros_like(s)
+        return 0.0 * s
     total, h = weights[0], 1.0  # h_z(s) = 1 + s + ... + s^{z-1}
     for w in weights[1:]:
         h = h * s + 1.0
@@ -230,7 +233,7 @@ def finite_tail_sum(weights, s: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class FinitePmf:
+class FinitePmf(_Law):
     """Offspring law given by explicit weights on {0, ..., K}, K <= 64."""
 
     weights: tuple[float, ...]
@@ -254,20 +257,11 @@ class FinitePmf:
             value = value * arr + w
         return _scalar_like(value, s)
 
+    @_elementwise
     def survival_map(self, r):
         # 1 - f(1-r) = r * T(1-r) with T(s) = sum_z w_z (1 + s + ... + s^{z-1});
         # every term is nonnegative, so no cancellation anywhere on [0, 1].
-        if isinstance(r, float):
-            s = 1.0 - r
-            total = 0.0
-            h = 0.0
-            for w in self.weights[1:]:
-                h = h * s + 1.0
-                total += w * h
-            return r * total
-        arr = np.asarray(r, dtype=float)
-        value = arr * finite_tail_sum(self.weights[1:], 1.0 - arr)
-        return _scalar_like(value, r)
+        return r * finite_tail_sum(self.weights[1:], 1.0 - r)
 
     def mean(self) -> float:
         return math.fsum(z * w for z, w in enumerate(self.weights))
@@ -275,39 +269,16 @@ class FinitePmf:
     def second_factorial_moment(self) -> float:
         return math.fsum(z * (z - 1) * w for z, w in enumerate(self.weights))
 
-    def variance(self) -> float:
-        m = self.mean()
-        return self.second_factorial_moment() + m - m * m
-
+    @_elementwise
     def shape(self, s):
-        if isinstance(s, float):
-            _check_unit_interval(s)
-            return self._shape_scalar(s)
-        arr = _check_unit_interval(s)
-        return _scalar_like(self._shape_impl(arr), s)
+        _check_unit_interval(s)
+        return self._shape_impl(s)
 
+    @_elementwise
     def shape_from_survival(self, r):
-        if isinstance(r, float):
-            return self._shape_scalar(1.0 - r)
-        arr = np.asarray(r, dtype=float)
-        return _scalar_like(self._shape_impl(1.0 - arr), r)
+        return self._shape_impl(1.0 - r)
 
-    def _shape_scalar(self, s: float) -> float:
-        m = self.mean()
-        if m <= 0.0:
-            raise ValueError("shape function requires positive mean offspring")
-        h = 0.0
-        h_cum = 0.0
-        t_total = 0.0
-        u_total = 0.0
-        for w in self.weights[1:]:
-            u_total += w * h_cum
-            h = h * s + 1.0
-            h_cum += h
-            t_total += w * h
-        return u_total / (m * t_total)
-
-    def _shape_impl(self, s: np.ndarray) -> np.ndarray:
+    def _shape_impl(self, s):
         # shape(s) = U(s) / (m * T(s)) with T as in survival_map and
         # U(s) = sum_z w_z sum_{j<z} h_j(s); this is the defining difference
         # 1/(1-f) - 1/(m(1-s)) with the common (1-s) factor cancelled
@@ -315,18 +286,12 @@ class FinitePmf:
         m = self.mean()
         if m <= 0.0:
             raise ValueError("shape function requires positive mean offspring")
-        s = np.asarray(s, dtype=float)
-        h = np.zeros_like(s)
-        h_cum = np.zeros_like(s)  # sum_{j<z} h_j(s)
-        t_total = np.zeros_like(s)
-        u_total = np.zeros_like(s)
+        h = h_cum = t_total = u_total = 0.0  # h_cum: sum_{j<z} h_j(s)
         for w in self.weights[1:]:
             u_total = u_total + w * h_cum  # uses h_cum for current z before update
             h = h * s + 1.0
             h_cum = h_cum + h
             t_total = t_total + w * h
-        # the loop above associates h_cum(z) = sum_{j<z} h_j by construction:
-        # at entry for weight w_z we have h = h_{z-1}, h_cum = sum_{j<=z-1} h_j.
         return u_total / (m * t_total)
 
     def shape_at_one(self) -> float:
@@ -338,7 +303,10 @@ class FinitePmf:
     def sample(self, rng: RandomStream, size: int | None = None):
         cdf = np.cumsum(self.weights)
         u = rng.generator.random(1 if size is None else size)
-        draws = np.searchsorted(cdf, u, side="right").astype(np.int64)
+        # the weights may sum to just under 1: a u above the last cumulative
+        # weight draws the largest value with positive weight
+        top = int(np.flatnonzero(self.weights)[-1])
+        draws = np.minimum(np.searchsorted(cdf, u, side="right"), top).astype(np.int64)
         return int(draws[0]) if size is None else draws
 
 

@@ -333,7 +333,7 @@ def simulate_population(
         raise ValueError(f"need n_reps >= 1, got {n_reps}")
     if model.epsilon <= 0.0:
         raise ValueError("population simulation needs a supercritical model (epsilon > 0)")
-    if model.nu > 0.0 and model.nu / model.epsilon >= 2.0:
+    if model.nu / model.epsilon >= 2.0:
         raise ValueError(
             "population simulation is restricted to the supercritical "
             f"regimes (rho < 2), got rho = {model.nu / model.epsilon}"

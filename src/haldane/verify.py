@@ -475,17 +475,13 @@ def _criterion_degenerate_env():
     variance, so the fixed-point comparison uses a deterministic allowance
     of 1e-5 covering the adaptive-horizon truncation of both sides.
     """
-    from scipy.optimize import brentq
-
     ratios = []
     details = []
     passed = True
     for eps in (0.1, 0.05, 0.02):
         model = make_environment("poisson", epsilon=eps, nu=0.0)
         res = estimate_survival_gf(model, n_reps=100_000, seed=101)
-        oracle = brentq(
-            lambda x: 1.0 - math.exp(-(1.0 + eps) * x) - x, 1e-12, 1.0, xtol=1e-15
-        )
+        oracle = gw_fixed_point_survival(Poisson(1.0 + eps))
         gap = abs(res.estimate - oracle)
         if gap > 3.0 * res.std_error + 1e-5:
             passed = False

@@ -112,8 +112,15 @@ def test_log_mean_sign_examples():
 
 
 def test_inverse_moment_degenerate():
-    model = make_environment("poisson", epsilon=0.07, nu=0.0)
-    assert model.inverse_moment(1.0) == pytest.approx(1.0 / 1.07, rel=1e-14)
+    """At nu = 0 both noise kinds give the moments of the point mass at
+    1 + eps exactly."""
+    transform = lambda t: t * math.exp(-t)
+    for noise in ("two_point", "uniform"):
+        model = make_environment("poisson", epsilon=0.07, nu=0.0, noise=noise)
+        for r in (0.5, 1.0, 2.0):
+            assert model.inverse_moment(r) == 1.07 ** (-r)
+        assert model.log_moment() == math.log(1.07)
+        assert model.mean_expectation(transform) == transform(1.07)
 
 
 def test_two_point_inverse_moment_closed_form():

@@ -178,11 +178,52 @@ def test_poisson_sampling_mean_clt():
     assert abs(float(np.mean(draws)) - lam) <= 4.0 * math.sqrt(lam / n)
 
 
+class _TopStream:
+    """A stream whose uniforms all equal the largest double below 1."""
+
+    class generator:
+        @staticmethod
+        def random(size):
+            return np.full(size, 1.0 - 2.0**-53)
+
+
+@pytest.mark.parametrize("weights", [(0.5, 0.5 - 4e-13), (0.5, 0.5 - 4e-13, 0.0)])
+def test_finite_sample_stays_in_support(weights):
+    # the weights sum to just under 1, so u can exceed the last cumulative weight
+    law = FinitePmf(weights)
+    assert law.sample(_TopStream()) == 1
+    assert law.sample(_TopStream(), size=3).tolist() == [1, 1, 1]
+
+
 def test_sample_scalar_types():
     rng = rng_stream(5, 0)
     assert isinstance(Poisson(1.0).sample(rng), int)
     assert isinstance(LinearFractional(0.3, 0.2).sample(rng), int)
     assert isinstance(FinitePmf((0.5, 0.5)).sample(rng), int)
+
+
+@pytest.mark.parametrize("law", [
+    LinearFractional(0.3, 0.2),
+    Poisson(1.05),
+    Poisson(3.7),
+    FinitePmf((0.25, 0.5, 0.25)),
+    FinitePmf((0.1, 0.2, 0.3, 0.25, 0.15)),
+    FinitePmf((0.0, 1.0)),
+], ids=repr)
+def test_float_matches_one_element_array(law):
+    """A float argument runs the array formula: it returns a float equal to
+    element 0 of the one-element array result, bitwise except for Poisson,
+    whose floats take math.expm1 (at most 8.2e-16 relative from np.expm1)."""
+    rel = 1e-15 if isinstance(law, Poisson) else 0.0
+    points = np.concatenate([np.linspace(0.0, 1.0, 41), np.logspace(-17, 0, 35), 1.0 - np.logspace(-16, -1, 16)])
+    for method in ("survival_map", "shape", "shape_from_survival"):
+        fn = getattr(law, method)
+        for x in points:
+            expected = fn(np.array([x]))[0]
+            for arg in (float(x), np.float64(x)):
+                value = fn(arg)
+                assert isinstance(value, float), (method, arg, type(value))
+                assert abs(value - expected) <= rel * abs(expected), (method, arg)
 
 
 # ---------------------------------------------------------------------------
