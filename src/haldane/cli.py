@@ -15,17 +15,18 @@ count, timestamps live only in a comment header, and re-running a command
 with the same configuration and seed reproduces the CSV body byte for
 byte.
 
-Exit codes: 0 success, 1 invariant failure, 2 configuration error,
-3 resource overrun.
+Exit codes: 0 success, 1 invariant failure, 2 configuration error (a
+malformed file, a key the command does not accept, or any value the
+library rejects), 3 resource overrun.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -35,7 +36,6 @@ from .numerics import rng_stream
 from .perpetuity import (
     ConstantLaw,
     DiracLimit,
-    InadmissibleRegimeError,
     NonContractiveError,
     PerpetuitySpec,
     TwoPointLaw,
@@ -61,6 +61,14 @@ _PERPETUITY_COLUMNS = (
     "ks_distance", "annuity_ks", "n_samples", "n_flagged", "seed",
 )
 
+_SHARED_KEYS = {"family", "noise", "p0", "template", "epsilon", "rho", "nu", "seed"}
+_SURVIVAL_KEYS = _SHARED_KEYS | {
+    "eps_list", "n_reps", "estimator", "tol_q", "tol_mu", "n_max", "cap_multiplier",
+}
+_PERPETUITY_KEYS = _SHARED_KEYS | {"mode", "n_samples", "tol"} | {
+    f"{side}_{field}" for side in "ab" for field in ("kind", "value", "lo", "hi")
+}
+
 
 class ConfigError(ValueError):
     """Invalid or missing configuration; mapped to exit code 2."""
@@ -70,7 +78,7 @@ class ConfigError(ValueError):
 # Configuration handling
 # ---------------------------------------------------------------------------
 
-def load_config(path: str | None) -> dict[str, str]:
+def load_config(path: str | None, accepted: set[str]) -> dict[str, str]:
     if path is None:
         return {}
     try:
@@ -87,54 +95,44 @@ def load_config(path: str | None) -> dict[str, str]:
         key, value = (part.strip() for part in line.split("=", 1))
         if not key or not value:
             raise ConfigError(f"config: line {lineno} has an empty key or value")
+        if key not in accepted:
+            raise ConfigError(f"config: line {lineno}: unknown key {key!r}")
         config[key] = value
     return config
 
 
-def _get(config, key, default=None, *, required=False):
-    if key in config:
-        return config[key]
-    if required:
-        raise ConfigError(f"config: missing required key {key!r}")
-    return default
+def _floats(raw: str) -> tuple[float, ...]:
+    return tuple(float(part) for part in raw.split(",") if part.strip())
 
 
-def _get_float(config, key, default=None, *, required=False):
-    raw = _get(config, key, None, required=required)
-    if raw is None:
+_KIND_NAMES = {float: "a number", int: "an integer", _floats: "comma-separated numbers"}
+
+
+def _get(config, key, kind=str, default=None, *, required=False):
+    """``config[key]`` read as ``kind``, or ``default`` when absent."""
+    if key not in config:
+        if required:
+            raise ConfigError(f"config: missing required key {key!r}")
         return default
     try:
-        return float(raw)
+        return kind(config[key])
     except ValueError as exc:
-        raise ConfigError(f"config: {key} must be a number, got {raw!r}") from exc
+        raise ConfigError(f"config: {key} must be {_KIND_NAMES[kind]}, got {config[key]!r}") from exc
 
 
-def _get_int(config, key, default=None, *, required=False):
-    raw = _get(config, key, None, required=required)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"config: {key} must be an integer, got {raw!r}") from exc
+def _options(config, **kinds) -> dict:
+    """The configured ones of the keyword arguments ``kinds`` names, read as
+    their kinds; the library's defaults stand for the others."""
+    return {key: _get(config, key, kind) for key, kind in kinds.items() if key in config}
 
 
-def _get_float_list(config, key):
-    raw = _get(config, key)
-    if raw is None:
-        return None
-    try:
-        return [float(part) for part in raw.split(",") if part.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"config: {key} must be comma-separated numbers, got {raw!r}") from exc
+def _count(config, args, key) -> int:
+    return args.reps if args.reps is not None else _get(config, key, int, required=True)
 
 
 def _resolve_seed(config, args) -> int:
     # seed is mandatory everywhere: no wall-clock fallback, ever
-    if args.seed is not None:
-        seed = args.seed
-    else:
-        seed = _get_int(config, "seed")
+    seed = args.seed if args.seed is not None else _get(config, "seed", int)
     if seed is None:
         raise ConfigError("config: seed is mandatory (set seed= or pass --seed)")
     if not (0 <= seed < 2**64):
@@ -142,74 +140,35 @@ def _resolve_seed(config, args) -> int:
     return seed
 
 
-def _build_model(config):
+@contextlib.contextmanager
+def _library(prefix: str = ""):
+    """Library calls on configured values: the library is their only
+    validator, so a ``ValueError`` it raises is a configuration error.  A
+    series that cannot be certified (``NonContractiveError``) stays a
+    resource overrun."""
+    try:
+        yield
+    except (ConfigError, NonContractiveError):
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"config: {prefix}{exc}") from exc
+
+
+def _environments(config):
+    """The model of each configured point: ``epsilon`` or each entry of
+    ``eps_list``, with ``rho`` (so nu = rho * epsilon) or ``nu``.  The
+    models validate themselves; call it inside ``_library()``."""
     family = _get(config, "family", required=True)
-    noise = _get(config, "noise", "two_point")
-    p0 = _get_float(config, "p0", 0.3)
-    template_raw = _get_float_list(config, "template")
-    template = tuple(template_raw) if template_raw else (0.25, 0.5, 0.25)
-    return family, noise, p0, template
-
-
-def _epsilon_nu_pairs(config) -> list[tuple[float, float]]:
-    eps_list = _get_float_list(config, "eps_list")
-    epsilon = _get_float(config, "epsilon")
-    if (eps_list is None) == (epsilon is None):
+    eps_values = _get(config, "eps_list", _floats)
+    if eps_values is None:
+        eps_values = (_get(config, "epsilon", float, required=True),)
+    elif "epsilon" in config:
         raise ConfigError("config: provide exactly one of epsilon or eps_list")
-    rho = _get_float(config, "rho")
-    nu = _get_float(config, "nu")
+    rho, nu = _get(config, "rho", float), _get(config, "nu", float)
     if (rho is None) == (nu is None):
         raise ConfigError("config: provide exactly one of rho or nu")
-    eps_values = eps_list if eps_list is not None else [epsilon]
-    if nu is not None:
-        return [(eps, nu) for eps in eps_values]
-    return [(eps, rho * eps) for eps in eps_values]
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Resolved survival-experiment configuration (file plus overrides);
-    every (epsilon, nu) pair validates through the model constructor and
-    the seed is mandatory."""
-
-    family: str
-    noise: str
-    p0: float
-    template: tuple[float, ...]
-    pairs: tuple[tuple[float, float], ...]
-    n_reps: int
-    seed: int
-    estimator: str
-    tol_q: float
-    tol_mu: float
-    n_max: int
-    cap_multiplier: float
-
-    @classmethod
-    def resolve(cls, config: dict, args) -> "ExperimentConfig":
-        family, noise, p0, template = _build_model(config)
-        estimator = _get(config, "estimator", "gf")
-        if estimator not in ("gf", "population", "both"):
-            raise ConfigError(
-                f"config: estimator must be gf, population, or both, got {estimator!r}"
-            )
-        n_reps = args.reps if args.reps is not None else _get_int(config, "n_reps", required=True)
-        if n_reps < 1:
-            raise ConfigError(f"config: n_reps must be positive, got {n_reps}")
-        return cls(
-            family=family,
-            noise=noise,
-            p0=p0,
-            template=template,
-            pairs=tuple(_epsilon_nu_pairs(config)),
-            n_reps=n_reps,
-            seed=_resolve_seed(config, args),
-            estimator=estimator,
-            tol_q=_get_float(config, "tol_q", 1e-8),
-            tol_mu=_get_float(config, "tol_mu", 1e-6),
-            n_max=_get_int(config, "n_max", 100_000),
-            cap_multiplier=_get_float(config, "cap_multiplier", 50.0),
-        )
+    options = _options(config, noise=str, p0=float, template=_floats)
+    return [make_environment(family, eps, rho * eps if nu is None else nu, **options) for eps in eps_values]
 
 
 # ---------------------------------------------------------------------------
@@ -253,62 +212,58 @@ def _write_table(out: str | None, title: str, columns, rows, json_mirror: bool) 
 # survival / sweep
 # ---------------------------------------------------------------------------
 
-def cmd_survival(args, *, require_sweep: bool = False) -> int:
-    raw = load_config(args.config)
-    if require_sweep and "eps_list" not in raw:
+def cmd_survival(args) -> int:
+    config = load_config(args.config, _SURVIVAL_KEYS)
+    if args.command == "sweep" and "eps_list" not in config:
         raise ConfigError("config: sweep requires eps_list")
-    config = ExperimentConfig.resolve(raw, args)
+    estimator = _get(config, "estimator", default="gf")
+    if estimator not in ("gf", "population", "both"):
+        raise ConfigError(f"config: estimator must be gf, population, or both, got {estimator!r}")
+    estimators = ("gf", "population") if estimator == "both" else (estimator,)
+    n_reps = _count(config, args, "n_reps")
+    seed = _resolve_seed(config, args)
+    gf_options = _options(config, tol_q=float, tol_mu=float, n_max=int)
+    population_options = _options(config, cap_multiplier=float)
 
     rows = []
     overrun_total = 0
-    for i, (eps, nu) in enumerate(config.pairs):
-        try:
-            model = make_environment(
-                config.family, epsilon=eps, nu=nu, noise=config.noise,
-                p0=config.p0, template=config.template,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"config: {exc}") from exc
-        sigma_sq = model.family.sigma_sq_limit()
-        rho_row = nu / eps if eps > 0 else math.inf
-        try:
-            params = RegimeParams(epsilon=eps, nu=nu, rho=rho_row, sigma_sq=sigma_sq)
-            prediction = haldane_prediction(params)
-        except ValueError:
-            prediction = None  # transition ratio rho = 2 or invalid regime
-
-        estimators = ("gf", "population") if config.estimator == "both" else (config.estimator,)
-        for kind in estimators:
-            if kind == "gf":
-                result = estimate_survival_gf(
-                    model, n_reps=config.n_reps, seed=config.seed, tol_q=config.tol_q,
-                    tol_mu=config.tol_mu, n_max=config.n_max, stream_base=(2 * i) << 32,
-                )
-                flagged = result.n_flagged
-            else:
-                try:
-                    result = simulate_population(
-                        model, n_reps=config.n_reps, seed=config.seed,
-                        cap_multiplier=config.cap_multiplier, stream_base=(2 * i + 1) << 32,
+    with _library():
+        for i, model in enumerate(_environments(config)):
+            eps, nu = model.epsilon, model.nu
+            sigma_sq = model.family.sigma_sq_limit()
+            rho_row = nu / eps if eps > 0 else math.inf
+            try:
+                params = RegimeParams(epsilon=eps, nu=nu, rho=rho_row, sigma_sq=sigma_sq)
+                prediction = haldane_prediction(params)
+            except ValueError:
+                prediction = None  # transition ratio rho = 2 or invalid regime
+            for kind in estimators:
+                if kind == "gf":
+                    result = estimate_survival_gf(
+                        model, n_reps=n_reps, seed=seed, stream_base=(2 * i) << 32, **gf_options,
                     )
-                except ValueError as exc:
-                    raise ConfigError(f"config: {exc}") from exc
-                flagged = result.n_overrun
-                overrun_total += result.n_overrun
-            if prediction is None:
-                ratio = None
-            elif prediction > 0.0:
-                ratio = result.estimate / prediction
-            else:
-                ratio = result.estimate
-            rows.append({
-                "family": config.family, "noise": config.noise, "epsilon": eps, "nu": nu,
-                "rho": rho_row, "sigma_sq": sigma_sq, "estimator": kind,
-                "pi_hat": result.estimate, "stderr": result.std_error,
-                "ci_lo": result.ci_lo, "ci_hi": result.ci_hi,
-                "prediction": prediction, "ratio": ratio,
-                "n_reps": result.n_reps, "n_flagged": flagged, "seed": config.seed,
-            })
+                    flagged = result.n_flagged
+                else:
+                    result = simulate_population(
+                        model, n_reps=n_reps, seed=seed, stream_base=(2 * i + 1) << 32,
+                        **population_options,
+                    )
+                    flagged = result.n_overrun
+                    overrun_total += result.n_overrun
+                if prediction is None:
+                    ratio = None
+                elif prediction > 0.0:
+                    ratio = result.estimate / prediction
+                else:
+                    ratio = result.estimate
+                rows.append({
+                    "family": model.family.name, "noise": model.noise, "epsilon": eps, "nu": nu,
+                    "rho": rho_row, "sigma_sq": sigma_sq, "estimator": kind,
+                    "pi_hat": result.estimate, "stderr": result.std_error,
+                    "ci_lo": result.ci_lo, "ci_hi": result.ci_hi,
+                    "prediction": prediction, "ratio": ratio,
+                    "n_reps": result.n_reps, "n_flagged": flagged, "seed": seed,
+                })
     _write_table(args.out, "survival", _SURVIVAL_COLUMNS, rows, args.json)
     return 3 if overrun_total > 0 else 0
 
@@ -318,58 +273,35 @@ def cmd_survival(args, *, require_sweep: bool = False) -> int:
 # ---------------------------------------------------------------------------
 
 def _scalar_law(config, side: str):
-    kind = _get(config, f"{side}_kind", "constant")
+    kind = _get(config, f"{side}_kind", default="constant")
     if kind == "constant":
-        value = _get_float(config, f"{side}_value", required=True)
-        try:
-            return ConstantLaw(value)
-        except ValueError as exc:
-            raise ConfigError(f"config: {side}_value: {exc}") from exc
+        with _library(f"{side}_value: "):
+            return ConstantLaw(_get(config, f"{side}_value", float, required=True))
     if kind == "two_point":
-        lo = _get_float(config, f"{side}_lo", required=True)
-        hi = _get_float(config, f"{side}_hi", required=True)
-        try:
+        lo = _get(config, f"{side}_lo", float, required=True)
+        hi = _get(config, f"{side}_hi", float, required=True)
+        with _library(f"{side}_lo/{side}_hi: "):
             return TwoPointLaw(lo, hi)
-        except ValueError as exc:
-            raise ConfigError(f"config: {side}_lo/{side}_hi: {exc}") from exc
     raise ConfigError(f"config: {side}_kind must be constant or two_point, got {kind!r}")
 
 
 def cmd_perpetuity(args) -> int:
-    config = load_config(args.config)
+    config = load_config(args.config, _PERPETUITY_KEYS)
     seed = _resolve_seed(config, args)
-    n_samples = args.reps if args.reps is not None else _get_int(config, "n_samples", required=True)
-    if n_samples < 2:
-        raise ConfigError(f"config: n_samples must be at least 2, got {n_samples}")
-    tol = _get_float(config, "tol", 1e-6)
-    mode = _get(config, "mode", "environment" if "family" in config else "scalar")
-
-    if mode == "environment":
-        family, noise, p0, template = _build_model(config)
-        epsilon = _get_float(config, "epsilon", required=True)
-        rho = _get_float(config, "rho")
-        nu = _get_float(config, "nu")
-        if (rho is None) == (nu is None):
-            raise ConfigError("config: provide exactly one of rho or nu")
-        nu_value = nu if nu is not None else rho * epsilon
-        try:
-            model = make_environment(family, epsilon=epsilon, nu=nu_value, noise=noise, p0=p0, template=template)
-        except ValueError as exc:
-            raise ConfigError(f"config: {exc}") from exc
-        spec = from_environment(model)
-    elif mode == "scalar":
-        spec = PerpetuitySpec(a_law=_scalar_law(config, "a"), b_law=_scalar_law(config, "b"))
-    else:
-        raise ConfigError(f"config: mode must be environment or scalar, got {mode!r}")
-
-    try:
+    n_samples = _count(config, args, "n_samples")
+    mode = _get(config, "mode", default="environment" if "family" in config else "scalar")
+    with _library():
+        if mode == "environment":
+            [model] = _environments(config)  # eps_list is not a perpetuity key
+            spec = from_environment(model)
+        elif mode == "scalar":
+            spec = PerpetuitySpec(a_law=_scalar_law(config, "a"), b_law=_scalar_law(config, "b"))
+        else:
+            raise ConfigError(f"config: mode must be environment or scalar, got {mode!r}")
         regime = regime_of(spec)
         limit = limit_law(regime)
-    except InadmissibleRegimeError as exc:
-        raise ConfigError(f"config: {exc}") from exc
-
-    fit = limit_fit_test(spec, n_samples, rng_stream(seed, 0), tol=tol)
-    annuity_ks = annuity_residual(spec, max(n_samples, 1000), rng_stream(seed, 1))
+        fit = limit_fit_test(spec, n_samples, rng_stream(seed, 0), **_options(config, tol=float))
+        annuity_ks = annuity_residual(spec, max(n_samples, 1000), rng_stream(seed, 1))
     if isinstance(limit, DiracLimit):
         limit_kind, limit_a, limit_b = "dirac", limit.alpha, None
         ks_column = 1.0 - fit.concentration  # misfit fraction, see README
@@ -442,10 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "survival":
+        if args.command in ("survival", "sweep"):
             return cmd_survival(args)
-        if args.command == "sweep":
-            return cmd_survival(args, require_sweep=True)
         if args.command == "perpetuity":
             return cmd_perpetuity(args)
         return cmd_verify(args)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -237,6 +237,7 @@ class FinitePmf(_Law):
     """Offspring law given by explicit weights on {0, ..., K}, K <= 64."""
 
     weights: tuple[float, ...]
+    _mean: float = field(init=False, repr=False, compare=False)  # every shape call reads it
 
     def __init__(self, weights) -> None:
         w = tuple(float(v) for v in weights)
@@ -249,6 +250,7 @@ class FinitePmf(_Law):
         if abs(math.fsum(w) - 1.0) > _WEIGHT_SUM_TOL:
             raise ValueError(f"weights must sum to 1 within {_WEIGHT_SUM_TOL}, got {math.fsum(w)}")
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "_mean", math.fsum(z * v for z, v in enumerate(w)))
 
     def pgf(self, s):
         arr = _check_unit_interval(s)
@@ -264,7 +266,7 @@ class FinitePmf(_Law):
         return r * finite_tail_sum(self.weights[1:], 1.0 - r)
 
     def mean(self) -> float:
-        return math.fsum(z * w for z, w in enumerate(self.weights))
+        return self._mean
 
     def second_factorial_moment(self) -> float:
         return math.fsum(z * (z - 1) * w for z, w in enumerate(self.weights))

@@ -356,6 +356,8 @@ def sample_series_batch(
     two-point noise the pairs are read from the spec's octet tables (a
     constant A is a broadcast, not a block).
     """
+    if not (0.0 < tol < math.inf):
+        raise ValueError(f"tol must lie in (0, inf), got {tol}")
     regime_of(spec)  # admissibility gate
     _, theta = contraction_rate(spec)
     tail_scale = spec.a_upper() if math.isinf(theta) else spec.a_upper() / (-math.expm1(-theta))
@@ -457,6 +459,8 @@ def limit_fit_test(
 ) -> FitResult:
     """Draw the series ``n_samples`` times and test the rescaled sample
     against the regime's limit law."""
+    if n_samples < 2:
+        raise ValueError(f"n_samples must be at least 2, got {n_samples}")
     regime = regime_of(spec)
     limit = limit_law(regime)
     y, flags = sample_series_batch(spec, n_samples, rng, tol=tol)

@@ -268,7 +268,7 @@ def estimate_survival_gf(
     if n_reps < 1:
         raise ValueError(f"need n_reps >= 1, got {n_reps}")
     if not (0.0 < tol_q < 1.0 and 0.0 < tol_mu < 1.0):
-        raise ValueError("tolerances must lie in (0, 1)")
+        raise ValueError(f"tol_q and tol_mu must lie in (0, 1), got {tol_q} and {tol_mu}")
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")
     if isinstance(model.family, LinearFractionalFamily):
@@ -338,6 +338,8 @@ def simulate_population(
             "population simulation is restricted to the supercritical "
             f"regimes (rho < 2), got rho = {model.nu / model.epsilon}"
         )
+    if not (0.0 < cap_multiplier < math.inf):
+        raise ValueError(f"cap_multiplier must lie in (0, inf), got {cap_multiplier}")
     cap = max(2, math.ceil(cap_multiplier / model.epsilon))
 
     def run_batch(lanes, stream_id):

@@ -4,6 +4,8 @@ mirror, and the verify table (including mutation sensitivity)."""
 import functools
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -73,6 +75,26 @@ def test_lf_sweep_csv_body_pinned(tmp_path):
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
     digest = hashlib.sha256("\n".join(_body(out)).encode()).hexdigest()
     assert digest == "9f2f7a419320a4493d7fe103d3ab86631fd2bf9067863f9ad7fc233e8d9dd671"
+
+
+LF_NU_CONFIG = """
+family = linear_fractional
+noise = two_point
+epsilon = 0.05
+nu = 0.025
+n_reps = 2048
+seed = 5
+"""
+
+
+def test_lf_survival_nu_form_body_pinned(tmp_path):
+    # the nu form reaches the same model as the rho form; LF arithmetic is
+    # additions and divisions only, so the digest holds on every numpy
+    cfg = _write(tmp_path / "lf_nu.cfg", LF_NU_CONFIG)
+    out = tmp_path / "lf_nu.csv"
+    assert main(["survival", "--config", cfg, "--out", str(out)]) == 0
+    digest = hashlib.sha256("\n".join(_body(out)).encode()).hexdigest()
+    assert digest == "4df03763b820b46c69140541a2a50d97607b1259eb9339e1b316b5342a8b099e"
 
 
 def test_survival_json_mirror(tmp_path):
@@ -253,6 +275,68 @@ def test_perpetuity_rejects_too_few_samples(tmp_path, capsys, reps):
     )
     assert main(["perpetuity", "--config", cfg, "--reps", reps]) == 2
     assert f"n_samples must be at least 2, got {reps}" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# configuration errors and shipped configurations
+# ---------------------------------------------------------------------------
+
+POISSON_CONFIG = "family = poisson\nepsilon = 0.05\nrho = 0.5\nn_reps = 64\nseed = 2\n"
+PERPETUITY_CONFIG = "family = poisson\nepsilon = 0.05\nrho = 1\nn_samples = 50\nseed = 1\n"
+
+
+@pytest.mark.parametrize("command, text", [
+    ("survival", POISSON_CONFIG + "tol_q = 2\n"),
+    ("survival", POISSON_CONFIG + "tol_mu = 0\n"),
+    ("survival", POISSON_CONFIG + "n_max = 0\n"),
+    ("survival", POISSON_CONFIG + "estimator = population\ncap_multiplier = 0\n"),
+    ("perpetuity", PERPETUITY_CONFIG + "tol = 0\n"),
+    ("survival", POISSON_CONFIG + "n_maxx = 300\n"),
+], ids=["tol_q", "tol_mu", "n_max", "cap_multiplier", "perpetuity-tol", "unknown-key"])
+def test_rejected_values_exit_2(tmp_path, capsys, command, text):
+    # the library validates what it takes; the CLI reports its refusal
+    cfg = _write(tmp_path / "bad.cfg", text)
+    out = tmp_path / "bad.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, key", [
+    ("survival", "tol"), ("sweep", "n_samples"), ("perpetuity", "eps_list"), ("perpetuity", "n_reps"),
+])
+def test_unknown_key_is_named(tmp_path, capsys, command, key):
+    # each command accepts its own keys only, so another command's key is
+    # as unknown as a misspelled one
+    text = {"survival": POISSON_CONFIG, "sweep": SURVIVAL_CONFIG, "perpetuity": PERPETUITY_CONFIG}[command]
+    cfg = _write(tmp_path / "extra.cfg", text + f"{key} = 1\n")
+    assert main([command, "--config", cfg]) == 2
+    assert f"unknown key {key!r}" in capsys.readouterr().err
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _shipped_configs():
+    """The README's ``ini`` examples and the benchmark's config files, each
+    with the command that reads it."""
+    blocks = re.findall(r"```ini\n(.*?)```", (REPO / "README.md").read_text(), flags=re.S)
+    files = [path.read_text() for path in sorted((REPO / "perfbench" / "configs").glob("*.cfg"))]
+    assert len(blocks) == 2 and len(files) == 2
+    for text in blocks + files:
+        if "mode" in text:
+            yield pytest.param("perpetuity", text, id="perpetuity")
+        else:
+            command = "sweep" if "eps_list" in text else "survival"
+            yield pytest.param(command, text, id=command)
+
+
+@pytest.mark.parametrize("command, text", list(_shipped_configs()))
+def test_shipped_configs_run(tmp_path, command, text):
+    cfg = _write(tmp_path / "shipped.cfg", text)
+    argv = [command, "--config", cfg, "--seed", "1", "--reps", "64", "--out", str(tmp_path / "rows.csv")]
+    assert main(argv) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,14 @@ def test_mean_values():
     assert FinitePmf((0.25, 0.5, 0.25)).mean() == pytest.approx(1.0, abs=1e-15)
 
 
+def test_finite_mean_is_the_weights_fsum_and_leaves_equality_alone():
+    weights = (0.1, 0.2, 0.3, 0.25, 0.15)
+    law = FinitePmf(weights)
+    assert law.mean() == math.fsum(z * w for z, w in enumerate(weights))
+    assert law == FinitePmf(list(weights)) and hash(law) == hash(FinitePmf(list(weights)))
+    assert repr(law) == f"FinitePmf(weights={weights!r})"
+
+
 def test_second_factorial_moment_values():
     assert Poisson(2.0).second_factorial_moment() == pytest.approx(4.0, abs=1e-15)
     # 2 (1-p0) p / (1-p)^2 = 2 * 0.7 * 0.2 / 0.64

@@ -267,6 +267,22 @@ def test_series_rejects_empty_horizon():
         sample_series_batch(spec, 4, rng_stream(1, 0), k_max=0)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-6, math.inf, math.nan])
+def test_series_rejects_tol_outside_open_half_line(tol):
+    # tol <= 0 never stops a lane before k_max; inf stops every lane at once
+    spec = PerpetuitySpec(a_law=ConstantLaw(1.0), b_law=TwoPointLaw(0.3, 0.9))
+    with pytest.raises(ValueError, match="tol"):
+        sample_series_batch(spec, 4, rng_stream(1, 0), tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        perpetuity.limit_fit_test(spec, 4, rng_stream(1, 0), tol=tol)
+
+
+def test_fit_rejects_fewer_than_two_samples():
+    spec = PerpetuitySpec(a_law=ConstantLaw(1.0), b_law=TwoPointLaw(0.3, 0.9))
+    with pytest.raises(ValueError, match="n_samples must be at least 2, got 1"):
+        perpetuity.limit_fit_test(spec, 1, rng_stream(1, 0))
+
+
 def test_series_fixed_point_value_constant_spec():
     # the truncated sum must satisfy the annuity recursion up to tol
     spec = PerpetuitySpec(a_law=ConstantLaw(1.0), b_law=ConstantLaw(0.5))

@@ -664,6 +664,14 @@ def test_population_rejects_subcritical_model():
         simulate_population(model, n_reps=10, seed=1)
 
 
+@pytest.mark.parametrize("cap_multiplier", [0.0, -5.0, math.inf, math.nan])
+def test_population_rejects_cap_multiplier_outside_open_half_line(cap_multiplier):
+    # 0 or below would cap every replicate at K = 2, and inf overflows ceil
+    model = make_environment("poisson", epsilon=0.05, nu=0.025)
+    with pytest.raises(ValueError, match="cap_multiplier"):
+        simulate_population(model, n_reps=10, seed=1, cap_multiplier=cap_multiplier)
+
+
 def test_population_agrees_with_gf_small():
     model = make_environment("poisson", epsilon=0.1, nu=0.0)
     gf = estimate_survival_gf(model, n_reps=10_000, seed=21)
