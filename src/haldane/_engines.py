@@ -13,7 +13,10 @@ environment runs one lane of its family's route):
   annuity sum (:func:`gf_lf_batch`) in :func:`annuity_batch`, the kernel
   that the perpetuity series sampler shares: one running sum and one
   discount per lane, the stopping rule tested every ``_CHECK_EVERY``
-  generations, and up to that many generations drawn per stream call;
+  generations, and up to that many generations drawn per stream call.
+  Under two-point noise those generations arrive as one byte per lane
+  and advance in two or three lookups of :func:`annuity_byte_tables`;
+  otherwise as float rows, one generation per numpy pass;
 * for every other family under either noise kind, a block-doubling
   backward replay over a stored environment matrix (packed stream bits
   under two-point noise, one float64 law parameter per lane and
@@ -28,11 +31,16 @@ per-path oracle of the tests, not an estimator route.
 
 The benchmark's tracer (``perfbench/tracing.py``) wraps these kernels by
 name and reads their arguments by position, so renaming one or changing
-its call shape needs the tracer changed with it.
+its call shape needs the tracer changed with it.  It counts the LF
+kernel's lane-generations from the ``size`` (third positional argument)
+of its ``sample_means`` calls, and the series' terms from that of its
+``sample_pairs`` calls, so the lane-byte draws stay calls of those
+methods (with ``packed=True``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -68,6 +76,12 @@ def _block_rows(lanes: int) -> int:
     return next(r for r in (8, 4, 2, 1) if r * lanes <= _BLOCK_DRAWS or r == 1)
 
 
+def byte_rows(lanes: int) -> int:
+    """Generations per lane-byte draw: a whole check interval, since a
+    block costs one byte per lane whatever its width."""
+    return _CHECK_EVERY
+
+
 # Storage guard for the replay engine's environment matrix (bytes per
 # batch): 1/8 byte per lane-generation packed, 8 bytes as float64.  The
 # matrix counts twice: growing it copies it, and so do replaying a subset of
@@ -84,26 +98,28 @@ class HorizonStorageError(RuntimeError):
 # Annuity sums: the LF survival kernel and the perpetuity series
 # ---------------------------------------------------------------------------
 
-def annuity_batch(n_lanes: int, n_max: int, draw, step, stop):
+def annuity_batch(n_lanes: int, n_max: int, draw, step, stop, block_rows=_block_rows):
     """Run ``n_lanes`` annuity sums ``acc = sum_k c_k a_{k+1}``, each lane
     to its own stopping generation or to ``n_max``.
 
     Each lane carries the running sum ``acc`` (from 0) and the discount
     ``c`` (from 1).  ``draw(rows, lanes)`` returns a block of ``rows``
-    generations for the ``lanes`` live lanes, and ``step(acc, c, block, j)``
-    advances them in place by row j of it.  ``stop(acc, c, prev)``, with
-    ``prev`` the sums one generation earlier, returns (value, done) per
-    live lane; it is evaluated only at every ``_CHECK_EVERY``-th
-    generation and at ``n_max``, so a lane runs at most
-    ``_CHECK_EVERY - 1`` generations past its first eligible stop.  Done
-    lanes retire with their value; lanes still live at ``n_max`` keep
+    generations for the ``lanes`` live lanes, and ``step(acc, c, block,
+    rows)`` advances them in place by the whole block and returns the
+    sums one generation before the block's end (or None if ``stop`` does
+    not read them).  ``stop(acc, c, prev)``, with ``prev`` those sums,
+    returns (value, done) per live lane; it is evaluated only at every
+    ``_CHECK_EVERY``-th generation and at ``n_max``, so a lane runs at
+    most ``_CHECK_EVERY - 1`` generations past its first eligible stop.
+    Done lanes retire with their value; lanes still live at ``n_max`` keep
     theirs and are flagged.
 
-    Between checks the live lanes do not change, so up to 8 generations
-    (:func:`_block_rows`) come from one ``draw``, whose rows must be what
-    one draw per generation would give; the steps then run in the same
-    order as with one draw per generation, so values, flags and stream use
-    do not depend on the block width.
+    Between checks the live lanes do not change, so the generations up to
+    the next check come from draws of ``block_rows(lanes)`` rows (by
+    default :func:`_block_rows`), whose rows must be what one draw per
+    generation would give; stream use then does not depend on the block
+    width.  A block may be float rows stepped one generation at a time, or
+    lane bytes stepped through :func:`byte_step`'s tables.
 
     Returns (values, flagged mask) as arrays of length n_lanes.
     """
@@ -118,26 +134,74 @@ def annuity_batch(n_lanes: int, n_max: int, draw, step, stop):
     n = 0
     while idx.size and n < n_max:
         lanes = idx.size
-        rows = _block_rows(lanes)
+        rows = block_rows(lanes)
         check_at = min(n + _CHECK_EVERY, n_max)
         while n < check_at:
             width = min(rows, check_at - n)
-            block = draw(width, lanes)
-            for j in range(width):
-                if n + j + 1 == check_at:
-                    prev = acc.copy()
-                step(acc, c, block, j)
+            prev = step(acc, c, draw(width, lanes), width)
             n += width
-            block = None  # release the block before the next draw
         value, done = stop(acc, c, prev)
         if n == n_max:
             values[idx] = value
             flagged[idx] = ~done
-        elif np.any(done):
+        elif done.any():
             values[idx[done]] = value[done]
             keep = ~done
             acc, c, idx = acc[keep], c[keep], idx[keep]
     return values, flagged
+
+
+@functools.lru_cache(maxsize=64)
+def annuity_byte_tables(a_clear: float, b_clear: float, a_set: float, b_set: float, divide: bool = False):
+    """Read-only (9, 256) tables ``(sums, products)`` of the annuity over
+    the generations that a lane byte encodes: bit j of byte b selects the
+    pair (A, B) of generation j, ``(a_set, b_set)`` where it is set and
+    ``(a_clear, b_clear)`` where it is clear.  With ``divide`` the
+    products divide by the given values, as the LF float path does
+    (``C /= m``): multiplying by a rounded 1/m would bias every generation
+    alike, about 7e-13 relative after 3,500 generations at rho = 3.  Row w
+    holds, for every b, the partial sum
+    ``sum_{j<w} B_0...B_{j-1} A_j`` and the product ``B_0...B_{w-1}`` of
+    its first w generations (bits from w on do not enter), accumulated
+    generation by generation.  A block of w generations adds
+    ``c * sums[w][b]`` to the sum and multiplies the discount by
+    ``products[w][b]``; ``sums[w - 1]`` gives the sum one generation
+    earlier.  Cached per coefficient pair, so a model or spec builds its
+    tables once."""
+    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little").view(bool)
+    sums, products = np.zeros((9, 256)), np.ones((9, 256))
+    for j in range(8):
+        a, b = np.where(bits[:, j], a_set, a_clear), np.where(bits[:, j], b_set, b_clear)
+        sums[j + 1] = sums[j] + products[j] * a
+        products[j + 1] = products[j] / b if divide else products[j] * b
+    sums.flags.writeable = products.flags.writeable = False
+    return sums, products
+
+
+def byte_step(tables, scratch: np.ndarray, with_prev: bool):
+    """An :func:`annuity_batch` step over lane bytes, through the
+    :func:`annuity_byte_tables` pair ``tables``: a block of w generations
+    costs two table lookups per lane whatever w is, and a third
+    ``with_prev``, when the step returns the sums one generation before the
+    block's end (otherwise None).  ``scratch`` holds a float64 per lane."""
+    sums, products = tables
+
+    def step(acc, c, block, rows):
+        term = scratch[:c.size]
+        prev = None
+        if with_prev:
+            # byte indices never clip; "clip" lets take write into out unbuffered
+            sums[rows - 1].take(block, out=term, mode="clip")
+            prev = np.multiply(c, term)
+            prev += acc
+        sums[rows].take(block, out=term, mode="clip")
+        term *= c
+        acc += term
+        products[rows].take(block, out=term, mode="clip")
+        c *= term
+        return prev
+
+    return step
 
 
 def gf_lf_batch(
@@ -156,9 +220,16 @@ def gf_lf_batch(
         1/r_n = 1/mu_n + sum_{k<n} psi_{k+1}/mu_k
               = 1/mu_n + S_n/(1-p0) - (S_n - 1 + 1/mu_n) = 1 + kappa*S_n
     with S_n = sum_{k<n} 1/mu_k and kappa = p0/(1-p0): an annuity with
-    A = 1 and B = 1/m, run by :func:`annuity_batch` as ``S += C; C /= m``.
-    A lane stops when r_n is below the extinction floor, or when the
-    one-step increment r_{n-1} - r_n is below tol_q once C = 1/mu_n < tol_mu.
+    A = 1 and B = 1/m, run by :func:`annuity_batch`.  A lane stops when
+    r_n is below the extinction floor, or when the one-step increment
+    r_{n-1} - r_n is below tol_q once C = 1/mu_n < tol_mu.
+
+    Under two-point noise with nu > 0 each check interval is one
+    ``sample_means`` draw of lane bytes, and a lane advances by the
+    whole interval through :func:`annuity_byte_tables` (``S_prev = S +
+    C*T_prev[b]``, ``S += C*T_sum[b]``, ``C *= T_prod[b]``); otherwise
+    by float rows, one generation at a time, as ``S += C; C /= m``.  Both
+    read the same stream words; the byte path rounds once per block.
 
     Returns (survival values, flagged mask) as arrays of length n_lanes.
     """
@@ -166,17 +237,31 @@ def gf_lf_batch(
     p0 = model.family.p0
     kappa = p0 / (1.0 - p0)
 
-    def draw(rows, lanes):
-        return model.sample_means(stream, rows * lanes, rows).reshape(rows, lanes)
-
-    def step(total, discount, m, j):
-        total += discount
-        discount /= m[j]
-
     def stop(total, discount, prev_total):
         r = 1.0 / (1.0 + kappa * total)
         prev_r = 1.0 / (1.0 + kappa * prev_total)
         return r, (r < EXTINCTION_FLOOR) | ((prev_r - r < tol_q) & (discount < tol_mu))
+
+    if model.noise == TWO_POINT and model.nu > 0.0:
+        m_lo, m_hi = model.mean_bounds()
+        tables = annuity_byte_tables(1.0, m_lo, 1.0, m_hi, divide=True)
+        step = byte_step(tables, np.empty(n_lanes), with_prev=True)
+
+        def draw(rows, lanes):
+            return model.sample_means(stream, rows * lanes, rows, packed=True)
+
+        return annuity_batch(n_lanes, n_max, draw, step, stop, byte_rows)
+
+    def draw(rows, lanes):
+        return model.sample_means(stream, rows * lanes, rows).reshape(rows, lanes)
+
+    def step(total, discount, m, rows):
+        for j in range(rows):
+            if j == rows - 1:
+                prev = total.copy()
+            total += discount
+            discount /= m[j]
+        return prev
 
     return annuity_batch(n_lanes, n_max, draw, step, stop)
 

@@ -16,8 +16,8 @@ with the same configuration and seed reproduces the CSV body byte for
 byte.
 
 Exit codes: 0 success, 1 invariant failure, 2 configuration error (a
-malformed file, a key the command does not accept, or any value the
-library rejects), 3 resource overrun.
+malformed file, a key the command does not accept or that no configured
+path reads, or any value the library rejects), 3 resource overrun.
 """
 
 from __future__ import annotations
@@ -61,13 +61,13 @@ _PERPETUITY_COLUMNS = (
     "ks_distance", "annuity_ks", "n_samples", "n_flagged", "seed",
 )
 
-_SHARED_KEYS = {"family", "noise", "p0", "template", "epsilon", "rho", "nu", "seed"}
-_SURVIVAL_KEYS = _SHARED_KEYS | {
-    "eps_list", "n_reps", "estimator", "tol_q", "tol_mu", "n_max", "cap_multiplier",
+_ENVIRONMENT_KEYS = {"family", "noise", "p0", "template", "epsilon", "rho", "nu"}
+_GF_KEYS = {"tol_q", "tol_mu", "n_max"}
+_SCALAR_KEYS = {f"{side}_{field}" for side in "ab" for field in ("kind", "value", "lo", "hi")}
+_SURVIVAL_KEYS = _ENVIRONMENT_KEYS | _GF_KEYS | {
+    "seed", "eps_list", "n_reps", "estimator", "cap_multiplier",
 }
-_PERPETUITY_KEYS = _SHARED_KEYS | {"mode", "n_samples", "tol"} | {
-    f"{side}_{field}" for side in "ab" for field in ("kind", "value", "lo", "hi")
-}
+_PERPETUITY_KEYS = _ENVIRONMENT_KEYS | _SCALAR_KEYS | {"seed", "mode", "n_samples", "tol"}
 
 
 class ConfigError(ValueError):
@@ -120,6 +120,14 @@ def _get(config, key, kind=str, default=None, *, required=False):
         raise ConfigError(f"config: {key} must be {_KIND_NAMES[kind]}, got {config[key]!r}") from exc
 
 
+def _unread(config, keys, setting: str) -> None:
+    """Refuse the configured ones of ``keys``: no path that ``setting``
+    selects reads them, so they would be ignored."""
+    unread = sorted(keys & config.keys())
+    if unread:
+        raise ConfigError(f"config: {', '.join(unread)} not read with {setting}")
+
+
 def _options(config, **kinds) -> dict:
     """The configured ones of the keyword arguments ``kinds`` names, read as
     their kinds; the library's defaults stand for the others."""
@@ -156,8 +164,9 @@ def _library(prefix: str = ""):
 
 def _environments(config):
     """The model of each configured point: ``epsilon`` or each entry of
-    ``eps_list``, with ``rho`` (so nu = rho * epsilon) or ``nu``.  The
-    models validate themselves; call it inside ``_library()``."""
+    ``eps_list``, with ``rho`` (so nu = rho * epsilon) or ``nu``; ``p0``
+    and ``template`` only for the family that reads them.  The models
+    validate themselves; call it inside ``_library()``."""
     family = _get(config, "family", required=True)
     eps_values = _get(config, "eps_list", _floats)
     if eps_values is None:
@@ -168,7 +177,12 @@ def _environments(config):
     if (rho is None) == (nu is None):
         raise ConfigError("config: provide exactly one of rho or nu")
     options = _options(config, noise=str, p0=float, template=_floats)
-    return [make_environment(family, eps, rho * eps if nu is None else nu, **options) for eps in eps_values]
+    models = [make_environment(family, eps, rho * eps if nu is None else nu, **options) for eps in eps_values]
+    if family != "linear_fractional":
+        _unread(config, {"p0"}, f"family = {family}")
+    if family != "finite":
+        _unread(config, {"template"}, f"family = {family}")
+    return models
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +234,10 @@ def cmd_survival(args) -> int:
     if estimator not in ("gf", "population", "both"):
         raise ConfigError(f"config: estimator must be gf, population, or both, got {estimator!r}")
     estimators = ("gf", "population") if estimator == "both" else (estimator,)
+    if estimator == "gf":
+        _unread(config, {"cap_multiplier"}, "estimator = gf")
+    if estimator == "population":
+        _unread(config, _GF_KEYS, "estimator = population")
     n_reps = _count(config, args, "n_reps")
     seed = _resolve_seed(config, args)
     gf_options = _options(config, tol_q=float, tol_mu=float, n_max=int)
@@ -275,9 +293,11 @@ def cmd_survival(args) -> int:
 def _scalar_law(config, side: str):
     kind = _get(config, f"{side}_kind", default="constant")
     if kind == "constant":
+        _unread(config, {f"{side}_lo", f"{side}_hi"}, f"{side}_kind = constant")
         with _library(f"{side}_value: "):
             return ConstantLaw(_get(config, f"{side}_value", float, required=True))
     if kind == "two_point":
+        _unread(config, {f"{side}_value"}, f"{side}_kind = two_point")
         lo = _get(config, f"{side}_lo", float, required=True)
         hi = _get(config, f"{side}_hi", float, required=True)
         with _library(f"{side}_lo/{side}_hi: "):
@@ -292,9 +312,11 @@ def cmd_perpetuity(args) -> int:
     mode = _get(config, "mode", default="environment" if "family" in config else "scalar")
     with _library():
         if mode == "environment":
+            _unread(config, _SCALAR_KEYS, "mode = environment")
             [model] = _environments(config)  # eps_list is not a perpetuity key
             spec = from_environment(model)
         elif mode == "scalar":
+            _unread(config, _ENVIRONMENT_KEYS, "mode = scalar")
             spec = PerpetuitySpec(a_law=_scalar_law(config, "a"), b_law=_scalar_law(config, "b"))
         else:
             raise ConfigError(f"config: mode must be environment or scalar, got {mode!r}")

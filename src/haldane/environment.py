@@ -350,7 +350,7 @@ class EnvironmentModel:
 
     # -- sampling -----------------------------------------------------------
 
-    def sample_means(self, rng: RandomStream, size: int, rows: int = 1) -> np.ndarray:
+    def sample_means(self, rng: RandomStream, size: int, rows: int = 1, *, packed: bool = False) -> np.ndarray:
         """``size`` iid law means, as ``rows`` rows of ``size // rows`` when
         ``rows > 1``; row j holds what the j-th of ``rows`` successive
         calls of that width would return.
@@ -359,8 +359,15 @@ class EnvironmentModel:
         the values of :meth:`mean_bounds`: the bits are read as whole
         32-bit stream words (:meth:`RandomStream.packed_bits`) and each
         byte expands to 8 means through one row of a 256-entry table.
-        Uniform noise costs one uniform per mean.
+        With ``packed`` (two-point noise, ``nu > 0`` and ``rows <= 8``
+        only) the same draws come back as one byte per column
+        (:meth:`RandomStream.lane_bytes`): bit j is set where row j holds
+        the high mean.  Uniform noise costs one uniform per mean.
         """
+        if packed:
+            if self.noise != TWO_POINT or self.nu == 0.0:
+                raise ValueError("packed means need two-point noise with nu > 0")
+            return rng.lane_bytes(size, rows)
         shape = (rows, size // rows) if rows > 1 else size
         if self.nu == 0.0:
             return np.full(shape, 1.0 + self.epsilon)

@@ -343,6 +343,40 @@ class RandomStream:
         """
         return octet_values(octets, self.packed_rows(size, rows), size // rows)
 
+    def lane_bytes(self, size: int, rows: int = 1) -> np.ndarray:
+        """The :meth:`packed_rows` flips of ``rows <= 8`` rows of
+        ``size // rows`` read down the rows instead of along them: an intp
+        array with one byte per column, whose bit j is that column's flip
+        in row j (the bits from ``rows`` on are clear).
+
+        Each group of 8 columns is an 8x8 bit matrix in one ``uint64``
+        (byte j is row j), which three delta swaps transpose.
+        """
+        packed = self.packed_rows(size, rows)
+        square = np.empty((packed.shape[1], 8), dtype=np.uint8)
+        square[:, :rows] = packed.T
+        square[:, rows:] = 0
+        x = square.view("<u8").ravel()
+        t = np.empty_like(x)
+        for shift, mask in _TRANSPOSE_8X8:
+            # t = (x ^ x >> shift) & mask; x ^= t ^ t << shift
+            np.right_shift(x, shift, out=t)
+            t ^= x
+            t &= mask
+            x ^= t
+            t <<= shift
+            x ^= t
+        return x.view(np.uint8)[:size // rows].astype(np.intp)
+
+
+# Delta swaps transposing an 8x8 bit matrix held as bit 8j + i of a uint64
+# (Hacker's Delight, 7-3); uint64 shift counts keep old numpy casting rules
+# from promoting the shifts to float.
+_TRANSPOSE_8X8 = tuple(
+    (np.uint64(shift), np.uint64(mask))
+    for shift, mask in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
+)
+
 
 def octet_values(octets: np.ndarray, packed: np.ndarray, width: int) -> np.ndarray:
     """The ``width`` draws per row that :meth:`RandomStream.packed_rows`

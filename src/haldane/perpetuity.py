@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._engines import annuity_batch
+from ._engines import annuity_batch, annuity_byte_tables, byte_rows, byte_step
 from .environment import TWO_POINT, UNIFORM, EnvironmentModel, LinearFractionalFamily, PoissonFamily
 from .numerics import (
     InverseGammaParams, RandomStream, invgamma_cdf, ks_one_sample, ks_two_sample, octet_values,
@@ -129,8 +129,9 @@ ScalarLaw = ConstantLaw | TwoPointLaw
 
 def _limit_shape_values(model: EnvironmentModel, means: np.ndarray) -> np.ndarray:
     """Shape-at-one of the family law, vectorized over realized means: the
-    coupled A of :meth:`PerpetuitySpec.sample_pairs`, which under two-point
-    noise evaluates it once, at the two support means.
+    coupled A of :meth:`PerpetuitySpec.sample_pairs` (under two-point
+    noise the series evaluates it once, at the two support means, for
+    :meth:`PerpetuitySpec.byte_tables`).
 
     The finite family's shape f''(1)/(2 m^2) has no closed form in the
     mean.  Under uniform noise it is computed on the rows of one vectorized
@@ -180,9 +181,7 @@ class PerpetuitySpec:
 
     def alpha(self) -> float:
         if self.model is not None:
-            return self.model.mean_expectation(
-                lambda m: self.model.family.law_for_mean(m).shape_at_one()
-            )
+            return self.model.mean_expectation(lambda m: self.model.law_for_mean(m).shape_at_one())
         return self.a_law.mean()
 
     def b_mean(self) -> float:
@@ -201,15 +200,23 @@ class PerpetuitySpec:
         return self.b_law.power_mean(u)
 
     def a_upper(self) -> float:
+        """An upper bound on A: the largest A that two-point or degenerate
+        noise draws, or the largest on a 65-point grid of means under
+        uniform noise; a model's bound is raised by a relative 1e-9."""
         if self.model is None:
             return self.a_law.upper()
-        m_lo, m_hi = self.model.mean_bounds()
-        grid = np.linspace(m_lo, m_hi, 65)
-        return float(np.max(_limit_shape_values(self.model, grid))) * (1.0 + 1e-9)
+        if self.model.noise == UNIFORM and self.model.nu > 0.0:
+            m_lo, m_hi = self.model.mean_bounds()
+            means = np.linspace(m_lo, m_hi, 65)
+        else:
+            means = np.array(self.model.support_means())
+        return float(np.max(_limit_shape_values(self.model, means))) * (1.0 + 1e-9)
 
     # -- sampling --------------------------------------------------------------
 
-    def sample_pairs(self, rng: RandomStream, size: int, rows: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    def sample_pairs(
+        self, rng: RandomStream, size: int, rows: int = 1, *, packed: bool = False
+    ) -> tuple[np.ndarray, np.ndarray] | np.ndarray:
         """``size`` pairs (A, B); with ``rows > 1``, ``(rows, size // rows)``
         arrays whose row j is what the j-th of ``rows`` successive calls of
         that width would draw.  A may be a read-only broadcast view.
@@ -217,14 +224,22 @@ class PerpetuitySpec:
         Under two-point noise every pair is one of two, so one packed draw
         (the stream words ``model.sample_means`` would read) selects each
         pair from two cached octet tables, with no means in between; an A
-        that is equal at both means (Poisson) is broadcast.  Uniform noise
-        and a degenerate environment map drawn means.
+        that is equal at both means (Poisson) is broadcast.  With
+        ``packed`` (two-point noise with ``nu > 0`` and ``rows <= 8`` only)
+        the same draws come back as one byte per column whose bit j is set
+        where row j holds the high-mean pair
+        (:meth:`RandomStream.lane_bytes`), for :meth:`byte_tables`.
+        Uniform noise and a degenerate environment map drawn means.
         """
+        if packed:
+            if self._support_pairs is None:
+                raise ValueError("packed pairs need an environment with two-point noise and nu > 0")
+            return rng.lane_bytes(size, rows)
         if self._pair_octets is not None:
             a_octets, a_lo, b_octets = self._pair_octets
-            packed, width = rng.packed_rows(size, rows), size // rows
-            b = octet_values(b_octets, packed, width)
-            a = np.broadcast_to(a_lo, b.shape) if a_octets is None else octet_values(a_octets, packed, width)
+            packed_bits, width = rng.packed_rows(size, rows), size // rows
+            b = octet_values(b_octets, packed_bits, width)
+            a = np.broadcast_to(a_lo, b.shape) if a_octets is None else octet_values(a_octets, packed_bits, width)
             return a, b
         if self.model is not None:
             means = self.model.sample_means(rng, size=size, rows=rows)
@@ -236,20 +251,36 @@ class PerpetuitySpec:
             return np.stack([a for a, _ in pairs]), np.stack([b for _, b in pairs])
         return self.a_law.sample(rng, size), self.b_law.sample(rng, size)
 
+    def byte_tables(self):
+        """The :func:`haldane._engines.annuity_byte_tables` of the two
+        pairs that a packed draw selects, or None where :meth:`sample_pairs`
+        has no packed draw."""
+        if self._support_pairs is None:
+            return None
+        (a_lo, a_hi), (b_lo, b_hi) = self._support_pairs
+        return annuity_byte_tables(a_lo, b_lo, a_hi, b_hi)
+
     @functools.cached_property
-    def _pair_octets(self) -> tuple[np.ndarray | None, float, np.ndarray] | None:
-        """``(A table or None, A at the low mean, B table)`` under two-point
-        noise, the tables holding the pair at (low, high) mean in
-        :func:`two_point_octets` form, with no A table when both A agree;
-        None for scalar laws, uniform noise and a degenerate environment.
-        The values are bitwise those that mapping drawn means gives."""
+    def _support_pairs(self) -> tuple[tuple[float, float], tuple[float, float]] | None:
+        """``((A, A), (B, B))`` at the (low, high) support mean under
+        two-point noise, bitwise what mapping drawn means gives; None for
+        scalar laws, uniform noise and a degenerate environment."""
         model = self.model
         if model is None or model.noise != TWO_POINT or model.nu == 0.0:
             return None
         means = np.array(model.support_means())
         a, b = _limit_shape_values(model, means), np.divide(1.0, means)
-        a_octets = None if a[0] == a[1] else two_point_octets(a[0], a[1])
-        return a_octets, float(a[0]), two_point_octets(b[0], b[1])
+        return (float(a[0]), float(a[1])), (float(b[0]), float(b[1]))
+
+    @functools.cached_property
+    def _pair_octets(self) -> tuple[np.ndarray | None, float, np.ndarray] | None:
+        """``(A table or None, A at the low mean, B table)``: the support
+        pairs in :func:`two_point_octets` form, with no A table when both A
+        agree; None where there are no support pairs."""
+        if self._support_pairs is None:
+            return None
+        (a_lo, a_hi), (b_lo, b_hi) = self._support_pairs
+        return None if a_lo == a_hi else two_point_octets(a_lo, a_hi), a_lo, two_point_octets(b_lo, b_hi)
 
 
 def from_environment(model: EnvironmentModel) -> PerpetuitySpec:
@@ -352,9 +383,14 @@ def sample_series_batch(
     is tested and how many terms one ``sample_pairs`` call draws.  A lane
     stops once C_k * sup(A) / (1 - exp(-theta)) < tol with theta the
     spec's contraction rate, so the discarded tail is below ``tol`` in
-    expectation; lanes still live at ``k_max`` are flagged.  Under
-    two-point noise the pairs are read from the spec's octet tables (a
-    constant A is a broadcast, not a block).
+    expectation; lanes still live at ``k_max`` are flagged.
+
+    Under two-point noise (where :meth:`PerpetuitySpec.byte_tables` has
+    tables) each check interval is one ``sample_pairs`` draw of lane
+    bytes, and a lane advances by the whole interval as ``acc +=
+    c*T_sum[b]; c *= T_prod[b]``, rounding once per block; otherwise the
+    drawn float rows step one term at a time.  Both read the same stream
+    words.
     """
     if not (0.0 < tol < math.inf):
         raise ValueError(f"tol must lie in (0, inf), got {tol}")
@@ -364,17 +400,29 @@ def sample_series_batch(
     c_tol = tol / max(tail_scale, 1e-300)
     term = np.empty(n)
 
+    def stop(acc, c, prev):
+        return acc, c < c_tol
+
+    tables = spec.byte_tables()
+    if tables is not None:
+        def draw(rows, lanes):
+            return spec.sample_pairs(rng, rows * lanes, rows, packed=True)
+
+        step = byte_step(tables, term, with_prev=False)
+        return annuity_batch(n, k_max, draw, step, stop, byte_rows)
+
     def draw(rows, lanes):
         a, b = spec.sample_pairs(rng, rows * lanes, rows)
         return a.reshape(rows, lanes), b.reshape(rows, lanes)
 
-    def step(acc, c, block, j):
+    def step(acc, c, block, rows):
         out = term[:c.size]
-        np.multiply(c, block[0][j], out=out)
-        acc += out
-        c *= block[1][j]
+        for a, b in zip(*block):
+            np.multiply(c, a, out=out)
+            acc += out
+            c *= b
 
-    return annuity_batch(n, k_max, draw, step, lambda acc, c, prev: (acc, c < c_tol))
+    return annuity_batch(n, k_max, draw, step, stop)
 
 
 def default_burn_in(spec: PerpetuitySpec) -> int:

@@ -12,6 +12,7 @@ from haldane import perpetuity
 from haldane import (
     ConstantLaw,
     DiracLimit,
+    FinitePmfFamily,
     InadmissibleRegimeError,
     InverseGammaParams,
     PerpetuityRegime,
@@ -92,6 +93,30 @@ def test_finite_shape_values_five_point_template():
     np.testing.assert_allclose(_limit_shape_values(model, means), expected, rtol=1e-14, atol=0.0)
 
 
+@pytest.mark.parametrize("template", [(0.25, 0.5, 0.25), (0.1, 0.2, 0.3, 0.25, 0.15)])
+@pytest.mark.parametrize("nu", [0.02, 0.0])
+def test_finite_two_point_bounds_take_the_support_laws_only(monkeypatch, template, nu):
+    # two-point and degenerate noise draw A at the support means only, so
+    # the bound on A and the series build those laws once (a grid of means
+    # cost 65 tilt solves per spec)
+    calls = []
+    law_for_mean = FinitePmfFamily.law_for_mean
+    monkeypatch.setattr(FinitePmfFamily, "law_for_mean",
+                        lambda self, m: calls.append(m) or law_for_mean(self, m))
+    model = make_environment("finite", epsilon=0.02, nu=nu, template=template)
+    spec = from_environment(model)
+    shapes = [law_for_mean(model.family, m).shape_at_one() for m in model.support_means()]
+    assert spec.a_upper() == max(shapes) * (1.0 + 1e-9)
+    sample_series_batch(spec, 100, rng_stream(4, 0))
+    assert sorted(calls) == sorted(model.support_means())
+
+
+def test_uniform_bound_on_a_covers_the_drawn_means():
+    model = make_environment("finite", epsilon=0.02, nu=0.02, noise="uniform", template=(0.1, 0.2, 0.3, 0.25, 0.15))
+    means = model.sample_means(rng_stream(8, 2), size=2000)
+    assert from_environment(model).a_upper() >= _limit_shape_values(model, means).max()
+
+
 def _pairs_from_means(model, means):
     """The coupled pair mapped from drawn means one by one: A = 1/2
     (Poisson), 1/(1-p0) - 1/m (linear-fractional) or the law's shape at
@@ -133,6 +158,33 @@ def test_two_point_pairs_match_pairs_from_means(name, rows):
         assert np.array_equal(*next_words)
 
 
+@pytest.mark.parametrize("name", sorted(_TWO_POINT_MODELS))
+def test_packed_pairs_step_as_the_pairs_do(name):
+    """Packed pairs are the model's lane bytes, and the byte tables hold,
+    bitwise, what w one-term steps from (sum, discount) = (0, 1) give over
+    the lane's block of w terms."""
+    model = _TWO_POINT_MODELS[name]()
+    spec = from_environment(model)
+    sums, products = spec.byte_tables()
+    for rows in range(1, 9):
+        rng, twin = rng_stream(16, rows), rng_stream(16, rows)
+        lane_bytes = spec.sample_pairs(rng, rows * 4097, rows, packed=True)
+        assert np.array_equal(lane_bytes, model.sample_means(twin, rows * 4097, rows, packed=True))
+        a, b = (x.reshape(rows, 4097) for x in spec.sample_pairs(rng_stream(16, rows), rows * 4097, rows))
+        acc, c = np.zeros(4097), np.ones(4097)
+        for j in range(rows):
+            acc, c = acc + c * a[j], c * b[j]
+        assert np.array_equal(sums[rows][lane_bytes], acc)
+        assert np.array_equal(products[rows][lane_bytes], c)
+
+
+def test_packed_pairs_need_a_two_point_environment():
+    for spec in (_ORACLE_SPECS["poisson-uniform"](), _ORACLE_SPECS["scalar"](), _ORACLE_SPECS["finite-nu0"]()):
+        assert spec.byte_tables() is None
+        with pytest.raises(ValueError, match="two-point"):
+            spec.sample_pairs(rng_stream(1, 0), 8, 8, packed=True)
+
+
 def test_block_rows_keep_blocks_below_huge_pages():
     # a float64 block stays below the 4 MiB from which numpy maps arrays
     # with huge pages, and within 2 MiB with its rows padded to whole 32-bit
@@ -145,11 +197,14 @@ def test_block_rows_keep_blocks_below_huge_pages():
 
 
 def test_series_peak_memory_per_lane_plus_two_blocks():
-    """25,000 lanes draw 8 terms per call; the traced peak stays within two
-    float64 blocks, A and B, plus 64 bytes per lane: its state (values,
-    flags, index, discount, sum and term, 41 bytes) and the block's packed
-    bytes with their intp indices (9 bytes at 8 rows).  A third live block
-    (say, drawn means mapped to pairs) would pass the bound."""
+    """25,000 lanes draw 8 terms per call.  The traced peak stays within
+    two float64 blocks (A and B) plus 64 bytes per lane, the bound of
+    pairs drawn as float rows; a two-point spec draws one byte per lane
+    instead, and stays within 96 bytes per lane: its state (values, flags,
+    index, discount, sum and term, 41 bytes), the draw (packed bits, their
+    transposed square and its temporary, and the intp lane bytes, 11
+    bytes) and the masks and compacted copies of a retirement.  One live
+    float64 block (64 bytes per lane at 8 rows) would pass that bound."""
     lanes = 25_000
     spec = from_environment(make_environment("linear_fractional", 0.05, 0.05))
     sample_series_batch(spec, 64, rng_stream(9, 0))  # first-use allocations
@@ -161,6 +216,7 @@ def test_series_peak_memory_per_lane_plus_two_blocks():
         tracemalloc.stop()
     assert not flags.any()
     assert peak <= 64 * lanes + 2 * 8 * _engines._BLOCK_DRAWS
+    assert peak <= 96 * lanes
 
 
 def test_two_point_law_sample_exact_values():
@@ -356,14 +412,19 @@ _ORACLE_SPECS = {
 @pytest.mark.parametrize("k_max", [5, 21, 200_000])
 @pytest.mark.parametrize("name", sorted(_ORACLE_SPECS))
 def test_series_block_draws_match_one_term_per_draw(name, k_max):
-    # 20,000 and 4,097 lanes cross the 1/2/4/8-row block widths as lanes
-    # retire; k_max = 5 and 21 cut the last block short
+    # k_max = 5 and 21 cut the last block short.  Two-point environments
+    # step whole blocks through byte tables, which round once per block,
+    # so their values match to rounding; the other specs' float rows match
+    # bitwise.  Flags and stream use match exactly
     spec = _ORACLE_SPECS[name]()
     for n in (1, 33, 4097, 20_000):
         rng, ref_rng = rng_stream(12, n), rng_stream(12, n)
         values, flags = sample_series_batch(spec, n, rng, k_max=k_max)
         ref_values, ref_flags = _series_one_term_per_draw(spec, n, ref_rng, k_max=k_max)
-        assert np.array_equal(values, ref_values) and np.array_equal(flags, ref_flags)
+        if spec.byte_tables() is None:
+            assert np.array_equal(values, ref_values)
+        np.testing.assert_allclose(values, ref_values, rtol=1e-12, atol=0.0)
+        assert np.array_equal(flags, ref_flags)
         next_words = (r.generator.integers(0, 2**32, 4, dtype=np.uint32) for r in (rng, ref_rng))
         assert np.array_equal(*next_words)
 

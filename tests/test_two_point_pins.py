@@ -5,7 +5,7 @@ Each pin is a SHA-256 prefix of the output arrays (little-endian bytes)
 and, where the caller keeps the stream, of the next four 32-bit words it
 yields, so a change in how the stream's bits are read or how many are
 consumed shows here.  The pins may change only with an announced change of
-stream use.
+stream use or of the order of rounding.
 """
 
 import hashlib
@@ -38,10 +38,13 @@ def _next_words(rng) -> np.ndarray:
     return rng.generator.integers(0, 2**32, 4, dtype=np.uint32)
 
 
+# the LF and series pins hold the byte-table arithmetic (one rounding per
+# block of 8 generations); the ids leave the digests out so that a
+# re-recorded pin keeps its name
 @pytest.mark.parametrize("rho, digest, total", [
-    (1.0, "64986da2dcc1ab77362c6a5b8c73715c", 47.78889484223592),
-    (3.0, "5e5524d3cb27cc4bfecf034fefc6c2f5", 0.5239789467911533),
-])
+    (1.0, "72b1c12340e41f9f000f590e8fa54e46", 47.788894842235905),
+    (3.0, "f215c061a95f241523316d6b5041bf5d", 0.5239789467911533),
+], ids=["rho1", "rho3"])
 def test_gf_lf_batch_pinned(rho, digest, total):
     model = make_environment("linear_fractional", 0.02, 0.02 * rho)
     values, flagged = _engines.gf_lf_batch(model, 2048, 4, 0, 1e-8, 1e-6, 100_000)
@@ -67,10 +70,10 @@ def test_gf_replay_batch_pinned(family, noise, n_max, digest, total):
 
 
 @pytest.mark.parametrize("family, eps, n, digest, total", [
-    ("poisson", 0.05, 1000, "fe1db300c5d2044a506f91a79da01a32", 104621.65295192557),
-    ("poisson", 0.05, 20_000, "77fa52dbbcb1b5ae384759f3fcef8b88", 2353562.8377869017),
-    ("finite", 0.02, 200, "723f7d364566262977cd9600844f2fa4", 15970.548251200704),
-])
+    ("poisson", 0.05, 1000, "49e4f88bfa3f5bb07199fd242c5a22bf", 104621.65295192535),
+    ("poisson", 0.05, 20_000, "3860fc4d901fc59586cc3ee5145a6c44", 2353562.8377868966),
+    ("finite", 0.02, 200, "1e0ddadb9c2dffdcc04be286ef162c20", 15970.548251200727),
+], ids=["poisson-0.05-1000", "poisson-0.05-20000", "finite-0.02-200"])
 def test_sample_series_batch_pinned(family, eps, n, digest, total):
     # rho = 1: nu = eps
     rng = rng_stream(6, 2)
