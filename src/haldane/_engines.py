@@ -14,17 +14,17 @@ environment runs one lane of its family's route):
   that the perpetuity series sampler shares: one running sum and one
   discount per lane, the stopping rule tested every ``_CHECK_EVERY``
   generations, and up to that many generations drawn per stream call.
-  Under two-point noise those generations arrive as one byte per lane
-  and advance in two or three lookups of :func:`annuity_byte_tables`;
-  otherwise as float rows, one generation per numpy pass;
+  Under two-point noise a check interval costs a handful of numpy calls
+  at any width: one raw read of stream words, a three-call transpose to
+  one byte per lane, two or three lookups of :func:`annuity_byte_tables`
+  and the stop rule (LF forms its increment only below ``tol_mu``);
+  otherwise generations arrive as float rows, one per numpy pass;
 * for every other family under either noise kind, a block-doubling
   backward replay over a stored environment matrix (packed stream bits
   under two-point noise, one float64 law parameter per lane and
   generation under uniform noise) at geometrically spaced checkpoint
-  horizons, one family evaluation per lane-generation.  The matrix is
-  read 32 generations at a time; under two-point noise octet tables expand
-  one stored byte at a time into the step coefficients of its 8
-  generations, and the steps write into two preallocated arrays in turn.
+  horizons, one family evaluation per lane-generation, read in blocks of
+  32 generations (:func:`_survival_backward_pair`).
 
 ``gf_scalar_path`` replays one path law by law in pure Python; it is the
 per-path oracle of the tests, not an estimator route.
@@ -46,7 +46,7 @@ import math
 import numpy as np
 
 from .environment import TWO_POINT, EnvironmentModel
-from .numerics import rng_stream, two_point_octets
+from .numerics import BYTE_BITS, rng_stream, two_point_octets
 from .offspring import OffspringLaw
 
 BATCH_SIZE = 16384
@@ -168,7 +168,7 @@ def annuity_byte_tables(a_clear: float, b_clear: float, a_set: float, b_set: flo
     ``products[w][b]``; ``sums[w - 1]`` gives the sum one generation
     earlier.  Cached per coefficient pair, so a model or spec builds its
     tables once."""
-    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little").view(bool)
+    bits = BYTE_BITS.view(bool)
     sums, products = np.zeros((9, 256)), np.ones((9, 256))
     for j in range(8):
         a, b = np.where(bits[:, j], a_set, a_clear), np.where(bits[:, j], b_set, b_clear)
@@ -221,8 +221,9 @@ def gf_lf_batch(
               = 1/mu_n + S_n/(1-p0) - (S_n - 1 + 1/mu_n) = 1 + kappa*S_n
     with S_n = sum_{k<n} 1/mu_k and kappa = p0/(1-p0): an annuity with
     A = 1 and B = 1/m, run by :func:`annuity_batch`.  A lane stops when
-    r_n is below the extinction floor, or when the one-step increment
-    r_{n-1} - r_n is below tol_q once C = 1/mu_n < tol_mu.
+    r_n is below the extinction floor, or once C = 1/mu_n < tol_mu when
+    the one-step increment r_{n-1} - r_n (formed on those lanes only) is
+    below tol_q.
 
     Under two-point noise with nu > 0 each check interval is one
     ``sample_means`` draw of lane bytes, and a lane advances by the
@@ -239,8 +240,11 @@ def gf_lf_batch(
 
     def stop(total, discount, prev_total):
         r = 1.0 / (1.0 + kappa * total)
-        prev_r = 1.0 / (1.0 + kappa * prev_total)
-        return r, (r < EXTINCTION_FLOOR) | ((prev_r - r < tol_q) & (discount < tol_mu))
+        done = r < EXTINCTION_FLOOR
+        near = np.flatnonzero(discount < tol_mu)
+        if near.size:
+            done[near] |= 1.0 / (1.0 + kappa * prev_total[near]) - r[near] < tol_q
+        return r, done
 
     if model.noise == TWO_POINT and model.nu > 0.0:
         m_lo, m_hi = model.mean_bounds()
@@ -275,7 +279,7 @@ def gf_lf_batch(
 _REPLAY_BLOCK = 32
 
 # Set bits of each byte value.
-_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1, dtype=np.uint8)
+_POPCOUNT = BYTE_BITS.sum(axis=1, dtype=np.uint8)
 
 
 def _survival_backward_pair(family, table, env: np.ndarray, n: int):

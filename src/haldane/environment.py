@@ -360,7 +360,7 @@ class EnvironmentModel:
         32-bit stream words (:meth:`RandomStream.packed_bits`) and each
         byte expands to 8 means through one row of a 256-entry table.
         With ``packed`` (two-point noise, ``nu > 0`` and ``rows <= 8``
-        only) the same draws come back as one byte per column
+        only) the same draws come back transposed to one byte per column
         (:meth:`RandomStream.lane_bytes`): bit j is set where row j holds
         the high mean.  Uniform noise costs one uniform per mean.
         """

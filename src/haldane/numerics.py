@@ -263,6 +263,14 @@ def combine_batch_stats(batches, *, seed: int, n_flagged: int = 0, n_overrun: in
 
 _U64_MAX = 2**64 - 1
 
+# Row b holds the bits of byte b, low bit first; read as one uint64,
+# _SPREAD[b] holds bit k of b in byte k (memory order).  uint64 shift counts
+# keep old numpy casting rules from promoting lane_bytes' row shifts to float.
+BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
+BYTE_BITS.flags.writeable = False
+_SPREAD = BYTE_BITS.view(np.uint64).ravel()
+_ROW_SHIFTS = np.arange(8, dtype=np.uint64)[:, None]
+
 
 @dataclass
 class RandomStream:
@@ -272,14 +280,18 @@ class RandomStream:
     the two identifiers, so stream j is reachable without generating
     streams below j, distinct identifiers give statistically independent
     output, and identical identifiers reproduce identical sequences.
-
-    A stream must be owned by a single consumer at a time; creating one is
-    cheap, so each replicate or batch gets its own.
+    Packed bits come from its raw 64-bit outputs while the stream alone
+    draws 32-bit words, and through ``Generator.integers`` once
+    :attr:`generator` is handed out.  A stream must be owned by a single
+    consumer at a time; creating one is cheap, so each replicate or batch
+    gets its own.
     """
 
     master_seed: int
     stream_id: int
     _gen: np.random.Generator = field(init=False, repr=False, compare=False)
+    # whether half of a 64-bit output is buffered; None once generator is read
+    _half: bool | None = field(init=False, repr=False, compare=False, default=False)
 
     def __post_init__(self) -> None:
         for name, value in (("master_seed", self.master_seed), ("stream_id", self.stream_id)):
@@ -291,6 +303,7 @@ class RandomStream:
     @property
     def generator(self) -> np.random.Generator:
         """The underlying numpy Generator (advances this stream's counter)."""
+        self._half = None
         return self._gen
 
     def uniforms(self, n: int) -> np.ndarray:
@@ -304,10 +317,17 @@ class RandomStream:
         The flips are ``ceil(count / 32)`` whole 32-bit stream words as
         little-endian bytes; bits past ``count`` are the unused rest of the
         last word.  ``generator.integers(0, 2, count, dtype=bool)`` reads
-        the same words, low bit first, so its stream use is the same.
+        the same words, low bit first.  Words are the low and high halves
+        of 64-bit outputs, a leftover high half being buffered; while none
+        is, an even word count is read as raw outputs, at a fifth of the
+        cost of ``integers``.
         """
-        words = self._gen.integers(0, 2**32, -(-count // 32), dtype=np.uint32)
-        return words.astype("<u4", copy=False).view(np.uint8)
+        words = -(-count // 32)
+        if words % 2 == 0 and self._half is False:
+            return self._gen.bit_generator.random_raw(words // 2).astype("<u8", copy=False).view(np.uint8)
+        if words % 2 and self._half is not None:
+            self._half = not self._half
+        return self._gen.integers(0, 2**32, words, dtype=np.uint32).astype("<u4", copy=False).view(np.uint8)
 
     def bits(self, size) -> np.ndarray:
         """Next fair coin flips as a boolean array of shape ``size``.
@@ -347,35 +367,12 @@ class RandomStream:
         """The :meth:`packed_rows` flips of ``rows <= 8`` rows of
         ``size // rows`` read down the rows instead of along them: an intp
         array with one byte per column, whose bit j is that column's flip
-        in row j (the bits from ``rows`` on are clear).
-
-        Each group of 8 columns is an 8x8 bit matrix in one ``uint64``
-        (byte j is row j), which three delta swaps transpose.
+        in row j (the bits from ``rows`` on are clear).  Each drawn byte
+        spreads into its 8 columns' bytes, shifted by its row, OR-ed down.
         """
-        packed = self.packed_rows(size, rows)
-        square = np.empty((packed.shape[1], 8), dtype=np.uint8)
-        square[:, :rows] = packed.T
-        square[:, rows:] = 0
-        x = square.view("<u8").ravel()
-        t = np.empty_like(x)
-        for shift, mask in _TRANSPOSE_8X8:
-            # t = (x ^ x >> shift) & mask; x ^= t ^ t << shift
-            np.right_shift(x, shift, out=t)
-            t ^= x
-            t &= mask
-            x ^= t
-            t <<= shift
-            x ^= t
-        return x.view(np.uint8)[:size // rows].astype(np.intp)
-
-
-# Delta swaps transposing an 8x8 bit matrix held as bit 8j + i of a uint64
-# (Hacker's Delight, 7-3); uint64 shift counts keep old numpy casting rules
-# from promoting the shifts to float.
-_TRANSPOSE_8X8 = tuple(
-    (np.uint64(shift), np.uint64(mask))
-    for shift, mask in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
-)
+        spread = _SPREAD.take(self.packed_rows(size, rows))
+        spread <<= _ROW_SHIFTS[:rows]
+        return np.bitwise_or.reduce(spread, axis=0).view(np.uint8)[:size // rows].astype(np.intp)
 
 
 def octet_values(octets: np.ndarray, packed: np.ndarray, width: int) -> np.ndarray:
@@ -392,8 +389,7 @@ def two_point_octets(lo: float, hi: float) -> np.ndarray:
     """Read-only (256, 8) table whose row b holds the draws that byte b of
     :meth:`RandomStream.packed_bits` encodes: column k is ``hi`` where bit
     k of b is set and ``lo`` where it is clear."""
-    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
-    table = np.where(bits.view(bool), hi, lo)
+    table = np.where(BYTE_BITS.view(bool), hi, lo)
     table.flags.writeable = False
     return table
 

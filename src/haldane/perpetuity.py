@@ -227,8 +227,8 @@ class PerpetuitySpec:
         that is equal at both means (Poisson) is broadcast.  With
         ``packed`` (two-point noise with ``nu > 0`` and ``rows <= 8`` only)
         the same draws come back as one byte per column whose bit j is set
-        where row j holds the high-mean pair
-        (:meth:`RandomStream.lane_bytes`), for :meth:`byte_tables`.
+        where row j holds the high-mean pair (:meth:`RandomStream.lane_bytes`,
+        a three-call transpose of the same words), for :meth:`byte_tables`.
         Uniform noise and a degenerate environment map drawn means.
         """
         if packed:

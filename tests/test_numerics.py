@@ -296,6 +296,59 @@ def test_two_point_rows_read_the_stream_as_successive_calls(rows):
     assert repr(stream.generator.bit_generator.state) == repr(twin.generator.bit_generator.state)
 
 
+def _twin_words(twin, count):
+    """``count`` flips as ``integers`` 32-bit words, little-endian bytes."""
+    return twin.integers(0, 2**32, -(-count // 32), dtype=np.uint32).astype("<u4").view(np.uint8)
+
+
+def _lane_bytes_oracle(packed_rows, width):
+    """Column c's byte holds bit c of row j in its bit j: unpack, weigh, sum."""
+    flips = np.unpackbits(packed_rows, axis=1, bitorder="little")[:, :width].astype(np.intp)
+    return (flips << np.arange(len(packed_rows))[:, None]).sum(axis=0)
+
+
+@pytest.mark.parametrize("seed", [0, 2**63 + 5])
+def test_stream_draws_match_an_integers_twin(seed):
+    # packed bits read raw 64-bit outputs while no 32-bit half is buffered
+    # and go through integers otherwise; odd word counts flip the buffer,
+    # so every byte must match a twin that always draws 32-bit words
+    stream = rng_stream(seed, 9)
+    twin = np.random.Generator(np.random.Philox(key=(9 << 64) | seed))
+    for count in (64, 32, 0, 96, 1, 33, 64, 1000, 31, 4096, 16385, 40):
+        assert np.array_equal(stream.packed_bits(count), _twin_words(twin, count))
+        assert stream._half == bool(twin.bit_generator.state["has_uint32"])
+        flips = np.unpackbits(_twin_words(twin, count), count=count, bitorder="little").view(bool)
+        assert np.array_equal(stream.bits(count), flips)
+        for rows, width in ((8, count), (3, count), (1, count + 1)):
+            words = rows * -(-width // 32)
+            expected = _twin_words(twin, 32 * words).reshape(rows, -1)
+            if (width + rows) % 2:
+                assert np.array_equal(stream.packed_rows(rows * width, rows), expected)
+            else:
+                assert np.array_equal(stream.lane_bytes(rows * width, rows), _lane_bytes_oracle(expected, width))
+        assert stream._half == bool(twin.bit_generator.state["has_uint32"])
+    # once the generator is handed out its 32-bit consumers may leave a
+    # half buffered, and the stream draws through integers from then on
+    for gen in (stream.generator, twin):
+        gen.permutation(5)
+        gen.integers(0, 10)
+    assert stream._half is None
+    for count in (64, 32, 128):
+        assert np.array_equal(stream.packed_bits(count), _twin_words(twin, count))
+    # counter, key, buffered outputs and the buffered 32-bit half
+    assert repr(stream.generator.bit_generator.state) == repr(twin.bit_generator.state)
+
+
+@pytest.mark.parametrize("rows", range(1, 9))
+def test_lane_bytes_match_an_unpackbits_oracle(rows):
+    for width in (1, 7, 31, 32, 33, 297, 4097, 16385):
+        stream, twin = rng_stream(12, width), rng_stream(12, width)
+        lane_bytes = stream.lane_bytes(rows * width, rows)
+        assert lane_bytes.dtype == np.intp and lane_bytes.shape == (width,)
+        assert np.array_equal(lane_bytes, _lane_bytes_oracle(twin.packed_rows(rows * width, rows), width))
+        assert stream.generator.integers(0, 2**32) == twin.generator.integers(0, 2**32)
+
+
 def test_two_point_octets_expand_every_byte():
     lo, hi = 0.9, 1.1
     table = two_point_octets(lo, hi)

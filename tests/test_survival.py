@@ -327,6 +327,29 @@ def test_lf_kernel_matches_moebius_oracle_per_path(eps, rho, n_max, tol_q, some_
     assert (n_flagged > 0) == some_flagged
 
 
+@pytest.mark.parametrize("noise", ["two_point", "uniform"])
+def test_lf_stop_matches_the_full_width_rule(monkeypatch, noise):
+    # the stop forms the increment only on lanes below tol_mu; (value, done)
+    # must be bitwise those of the rule evaluated on every lane, with lanes
+    # on both sides of tol_mu, of tol_q and of the extinction floor
+    model = make_environment("linear_fractional", epsilon=0.05, nu=0.025, noise=noise)
+    kappa, tol_q, tol_mu = 0.3 / 0.7, 1e-8, 1e-6
+    monkeypatch.setattr(_engines, "annuity_batch", lambda n_lanes, n_max, draw, step, stop, *rest: stop)
+    stop = _engines.gf_lf_batch(model, 1, 1, 0, tol_q, tol_mu, 100)
+    gen = np.random.default_rng(21)
+    n = 4096
+    total = 10.0 ** gen.uniform(0.0, 17.0, n)
+    prev_total = total - 10.0 ** gen.uniform(-12.0, 0.0, n) * total
+    r = 1.0 / (1.0 + kappa * total)
+    prev_r = 1.0 / (1.0 + kappa * prev_total)
+    for discount in (10.0 ** gen.uniform(-9.0, -3.0, n), np.full(n, 1e-3), np.full(n, 1e-9)):
+        done = (r < _engines.EXTINCTION_FLOOR) | ((prev_r - r < tol_q) & (discount < tol_mu))
+        value, stopped = stop(total, discount, prev_total)
+        assert np.array_equal(value, r) and np.array_equal(stopped, done)
+    assert 0 < np.count_nonzero(r < _engines.EXTINCTION_FLOOR) < n
+    assert 0 < np.count_nonzero(prev_r - r < tol_q) < n
+
+
 def _lf_one_generation_per_draw(model, n_lanes, stream, tol_q, tol_mu, n_max):
     """The LF kernel drawing one generation per ``sample_means`` call (the
     loop the block draws replaced)."""
