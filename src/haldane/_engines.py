@@ -11,14 +11,13 @@ environment runs one lane of its family's route):
 
 * for linear-fractional families, the reciprocal-survival identity as an
   annuity sum (:func:`gf_lf_batch`) in :func:`annuity_batch`, the kernel
-  that the perpetuity series sampler shares: one running sum and one
-  discount per lane, the stopping rule tested every ``_CHECK_EVERY``
-  generations, and up to that many generations drawn per stream call.
-  Under two-point noise a check interval costs a handful of numpy calls
-  at any width: one raw read of stream words, a three-call transpose to
-  one byte per lane, two or three lookups of :func:`annuity_byte_tables`
-  and the stop rule (LF forms its increment only below ``tol_mu``);
-  otherwise generations arrive as float rows, one per numpy pass;
+  that the perpetuity series sampler shares.  It advances every live lane
+  once per ``_CHECK_EVERY`` generations, then tests the stopping rule
+  (LF forms its increment only below ``tol_mu``).  Under two-point noise
+  an advance is a handful of numpy calls at any width (a raw read of
+  stream words, a three-call transpose to one byte per lane, two or three
+  :func:`annuity_byte_tables` lookups), otherwise one draw and step per
+  generation;
 * for every other family under either noise kind, a block-doubling
   backward replay over a stored environment matrix (packed stream bits
   under two-point noise, one float64 law parameter per lane and
@@ -56,30 +55,9 @@ BATCH_SIZE = 16384
 # by the remaining survival mass, so stopping here is exact to 1e-15.
 EXTINCTION_FLOOR = 1e-15
 
-# The annuity kernel tests its stopping rule every this many generations
-# (and at its horizon cap); between checks the live lanes do
-# not change, so the generations up to the next check are drawn in blocks.
+# Generations per advance of the annuity kernel (fewer at its horizon
+# cap); it tests its stopping rule after each advance.
 _CHECK_EVERY = 8
-
-# Cap on the draws of one annuity block: 8 rows up to 32,768 live lanes,
-# so a block of float64 values (its rows padded to whole stream words
-# included) is at most 2 MiB.  That stays below the 4 MiB from which numpy
-# maps arrays with huge pages, which raise the resident size in 2 MiB steps
-# and make the peak depend on the heap's history.
-_BLOCK_DRAWS = 2**18
-
-
-def _block_rows(lanes: int) -> int:
-    """Generations per draw of :func:`annuity_batch` at ``lanes`` live
-    lanes: the largest of 8, 4, 2, 1 whose block holds at most
-    ``_BLOCK_DRAWS`` draws, and 1 when none does."""
-    return next(r for r in (8, 4, 2, 1) if r * lanes <= _BLOCK_DRAWS or r == 1)
-
-
-def byte_rows(lanes: int) -> int:
-    """Generations per lane-byte draw: a whole check interval, since a
-    block costs one byte per lane whatever its width."""
-    return _CHECK_EVERY
 
 
 # Storage guard for the replay engine's environment matrix (bytes per
@@ -98,28 +76,20 @@ class HorizonStorageError(RuntimeError):
 # Annuity sums: the LF survival kernel and the perpetuity series
 # ---------------------------------------------------------------------------
 
-def annuity_batch(n_lanes: int, n_max: int, draw, step, stop, block_rows=_block_rows):
+def annuity_batch(n_lanes: int, n_max: int, advance, stop):
     """Run ``n_lanes`` annuity sums ``acc = sum_k c_k a_{k+1}``, each lane
     to its own stopping generation or to ``n_max``.
 
     Each lane carries the running sum ``acc`` (from 0) and the discount
-    ``c`` (from 1).  ``draw(rows, lanes)`` returns a block of ``rows``
-    generations for the ``lanes`` live lanes, and ``step(acc, c, block,
-    rows)`` advances them in place by the whole block and returns the
-    sums one generation before the block's end (or None if ``stop`` does
-    not read them).  ``stop(acc, c, prev)``, with ``prev`` those sums,
-    returns (value, done) per live lane; it is evaluated only at every
-    ``_CHECK_EVERY``-th generation and at ``n_max``, so a lane runs at
-    most ``_CHECK_EVERY - 1`` generations past its first eligible stop.
-    Done lanes retire with their value; lanes still live at ``n_max`` keep
+    ``c`` (from 1).  Once per check interval, ``advance(acc, c, rows)``
+    draws the interval's ``rows`` generations (``_CHECK_EVERY``, or those
+    left to ``n_max``) for the live lanes, applies them in place and
+    returns the sums one generation before the last (or None if ``stop``
+    does not read them).  ``stop(acc, c, prev)``, with ``prev`` those
+    sums, then returns (value, done) per live lane, so a lane runs at most
+    ``_CHECK_EVERY - 1`` generations past its first eligible stop.  Done
+    lanes retire with their value; lanes still live at ``n_max`` keep
     theirs and are flagged.
-
-    Between checks the live lanes do not change, so the generations up to
-    the next check come from draws of ``block_rows(lanes)`` rows (by
-    default :func:`_block_rows`), whose rows must be what one draw per
-    generation would give; stream use then does not depend on the block
-    width.  A block may be float rows stepped one generation at a time, or
-    lane bytes stepped through :func:`byte_step`'s tables.
 
     Returns (values, flagged mask) as arrays of length n_lanes.
     """
@@ -133,13 +103,9 @@ def annuity_batch(n_lanes: int, n_max: int, draw, step, stop, block_rows=_block_
 
     n = 0
     while idx.size and n < n_max:
-        lanes = idx.size
-        rows = block_rows(lanes)
-        check_at = min(n + _CHECK_EVERY, n_max)
-        while n < check_at:
-            width = min(rows, check_at - n)
-            prev = step(acc, c, draw(width, lanes), width)
-            n += width
+        rows = min(_CHECK_EVERY, n_max - n)
+        prev = advance(acc, c, rows)
+        n += rows
         value, done = stop(acc, c, prev)
         if n == n_max:
             values[idx] = value
@@ -156,18 +122,17 @@ def annuity_byte_tables(a_clear: float, b_clear: float, a_set: float, b_set: flo
     """Read-only (9, 256) tables ``(sums, products)`` of the annuity over
     the generations that a lane byte encodes: bit j of byte b selects the
     pair (A, B) of generation j, ``(a_set, b_set)`` where it is set and
-    ``(a_clear, b_clear)`` where it is clear.  With ``divide`` the
-    products divide by the given values, as the LF float path does
-    (``C /= m``): multiplying by a rounded 1/m would bias every generation
-    alike, about 7e-13 relative after 3,500 generations at rho = 3.  Row w
-    holds, for every b, the partial sum
-    ``sum_{j<w} B_0...B_{j-1} A_j`` and the product ``B_0...B_{w-1}`` of
-    its first w generations (bits from w on do not enter), accumulated
-    generation by generation.  A block of w generations adds
-    ``c * sums[w][b]`` to the sum and multiplies the discount by
-    ``products[w][b]``; ``sums[w - 1]`` gives the sum one generation
-    earlier.  Cached per coefficient pair, so a model or spec builds its
-    tables once."""
+    ``(a_clear, b_clear)`` where it is clear.  Row w holds, for every b,
+    the partial sum ``sum_{j<w} B_0...B_{j-1} A_j`` and the product
+    ``B_0...B_{w-1}`` of its first w generations (later bits do not
+    enter), accumulated generation by generation: an advance of w
+    generations adds ``c * sums[w][b]`` to the sum and multiplies the
+    discount by ``products[w][b]``, and ``sums[w - 1]`` gives the sum one
+    generation earlier.  With ``divide`` the products divide by the given
+    values, as the LF float path does (``C /= m``): multiplying by a
+    rounded 1/m would bias every generation alike, about 7e-13 relative
+    after 3,500 generations at rho = 3.  Cached per coefficient pair, so a
+    model or spec builds its tables once."""
     bits = BYTE_BITS.view(bool)
     sums, products = np.zeros((9, 256)), np.ones((9, 256))
     for j in range(8):
@@ -178,15 +143,18 @@ def annuity_byte_tables(a_clear: float, b_clear: float, a_set: float, b_set: flo
     return sums, products
 
 
-def byte_step(tables, scratch: np.ndarray, with_prev: bool):
-    """An :func:`annuity_batch` step over lane bytes, through the
-    :func:`annuity_byte_tables` pair ``tables``: a block of w generations
-    costs two table lookups per lane whatever w is, and a third
-    ``with_prev``, when the step returns the sums one generation before the
-    block's end (otherwise None).  ``scratch`` holds a float64 per lane."""
+def byte_step(tables, draw, scratch: np.ndarray, with_prev: bool):
+    """An :func:`annuity_batch` advance over lane bytes, through the
+    :func:`annuity_byte_tables` pair ``tables``: ``draw(rows, lanes)``
+    returns one byte per live lane whose bit j selects the pair of
+    generation j, and the ``rows`` generations cost two table lookups per
+    lane whatever ``rows`` is, and a third ``with_prev``, when the advance
+    returns the sums one generation before the last (otherwise None).
+    ``scratch`` holds a float64 per lane."""
     sums, products = tables
 
-    def step(acc, c, block, rows):
+    def advance(acc, c, rows):
+        block = draw(rows, c.size)
         term = scratch[:c.size]
         prev = None
         if with_prev:
@@ -201,7 +169,7 @@ def byte_step(tables, scratch: np.ndarray, with_prev: bool):
         c *= term
         return prev
 
-    return step
+    return advance
 
 
 def gf_lf_batch(
@@ -229,8 +197,9 @@ def gf_lf_batch(
     ``sample_means`` draw of lane bytes, and a lane advances by the
     whole interval through :func:`annuity_byte_tables` (``S_prev = S +
     C*T_prev[b]``, ``S += C*T_sum[b]``, ``C *= T_prod[b]``); otherwise
-    by float rows, one generation at a time, as ``S += C; C /= m``.  Both
-    read the same stream words; the byte path rounds once per block.
+    each generation is one ``sample_means`` draw, stepped as ``S += C;
+    C /= m``.  Both read the same stream words; the byte path rounds once
+    per interval.
 
     Returns (survival values, flagged mask) as arrays of length n_lanes.
     """
@@ -249,25 +218,21 @@ def gf_lf_batch(
     if model.noise == TWO_POINT and model.nu > 0.0:
         m_lo, m_hi = model.mean_bounds()
         tables = annuity_byte_tables(1.0, m_lo, 1.0, m_hi, divide=True)
-        step = byte_step(tables, np.empty(n_lanes), with_prev=True)
 
         def draw(rows, lanes):
             return model.sample_means(stream, rows * lanes, rows, packed=True)
 
-        return annuity_batch(n_lanes, n_max, draw, step, stop, byte_rows)
+        return annuity_batch(n_lanes, n_max, byte_step(tables, draw, np.empty(n_lanes), with_prev=True), stop)
 
-    def draw(rows, lanes):
-        return model.sample_means(stream, rows * lanes, rows).reshape(rows, lanes)
-
-    def step(total, discount, m, rows):
+    def advance(total, discount, rows):
         for j in range(rows):
             if j == rows - 1:
                 prev = total.copy()
             total += discount
-            discount /= m[j]
+            discount /= model.sample_means(stream, discount.size)
         return prev
 
-    return annuity_batch(n_lanes, n_max, draw, step, stop)
+    return annuity_batch(n_lanes, n_max, advance, stop)
 
 
 # ---------------------------------------------------------------------------

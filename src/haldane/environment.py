@@ -351,29 +351,30 @@ class EnvironmentModel:
     # -- sampling -----------------------------------------------------------
 
     def sample_means(self, rng: RandomStream, size: int, rows: int = 1, *, packed: bool = False) -> np.ndarray:
-        """``size`` iid law means, as ``rows`` rows of ``size // rows`` when
-        ``rows > 1``; row j holds what the j-th of ``rows`` successive
-        calls of that width would return.
+        """``size`` iid law means.
 
         Two-point noise costs one stream bit per mean and returns exactly
         the values of :meth:`mean_bounds`: the bits are read as whole
         32-bit stream words (:meth:`RandomStream.packed_bits`) and each
         byte expands to 8 means through one row of a 256-entry table.
-        With ``packed`` (two-point noise, ``nu > 0`` and ``rows <= 8``
-        only) the same draws come back transposed to one byte per column
-        (:meth:`RandomStream.lane_bytes`): bit j is set where row j holds
-        the high mean.  Uniform noise costs one uniform per mean.
+        Only ``packed`` draws (two-point noise, ``nu > 0``, ``rows <= 8``)
+        take ``rows``: those of ``rows`` successive calls of width ``size
+        // rows`` come back as one byte per column whose bit j is set where
+        the j-th call gives the high mean (:meth:`RandomStream.lane_bytes`).
+        Uniform noise costs one uniform per mean; ``nu = 0`` reads no
+        stream words.
         """
         if packed:
             if self.noise != TWO_POINT or self.nu == 0.0:
                 raise ValueError("packed means need two-point noise with nu > 0")
             return rng.lane_bytes(size, rows)
-        shape = (rows, size // rows) if rows > 1 else size
+        if rows != 1:
+            raise ValueError(f"only packed means take rows > 1, got rows = {rows}")
         if self.nu == 0.0:
-            return np.full(shape, 1.0 + self.epsilon)
+            return np.full(size, 1.0 + self.epsilon)
         if self.noise == TWO_POINT:
-            return rng.two_point(self._two_point_octets, size, rows)
-        u = rng.generator.random(shape)
+            return rng.two_point(self._two_point_octets, size)
+        u = rng.generator.random(size)
         return 1.0 + self.epsilon + math.sqrt(self.nu) * ((2.0 * u - 1.0) * _SQRT3)
 
     @functools.cached_property

@@ -352,16 +352,11 @@ class RandomStream:
         width = size // rows
         return self.packed_bits(rows * 32 * -(-width // 32)).reshape(rows, -1)
 
-    def two_point(self, octets: np.ndarray, size: int, rows: int = 1) -> np.ndarray:
-        """Next ``size`` draws of a two-point law, one stream bit each.
-
-        ``octets`` is a :func:`two_point_octets` table; each byte of
-        :meth:`packed_rows` selects its row, the values of 8 draws.  With
-        ``rows > 1`` the result is a ``(rows, size // rows)`` view whose
-        rows are exactly what ``rows`` successive calls of that width would
-        return (see :func:`octet_values`).
-        """
-        return octet_values(octets, self.packed_rows(size, rows), size // rows)
+    def two_point(self, octets: np.ndarray, size: int) -> np.ndarray:
+        """Next ``size`` draws of a two-point law, one stream bit each:
+        each byte of :meth:`packed_bits` selects a row of the
+        :func:`two_point_octets` table ``octets``, the values of 8 draws."""
+        return octet_values(octets, self.packed_bits(size), size)
 
     def lane_bytes(self, size: int, rows: int = 1) -> np.ndarray:
         """The :meth:`packed_rows` flips of ``rows <= 8`` rows of
@@ -375,14 +370,11 @@ class RandomStream:
         return np.bitwise_or.reduce(spread, axis=0).view(np.uint8)[:size // rows].astype(np.intp)
 
 
-def octet_values(octets: np.ndarray, packed: np.ndarray, width: int) -> np.ndarray:
-    """The ``width`` draws per row that :meth:`RandomStream.packed_rows`
-    bytes encode through a :func:`two_point_octets` table, by one lookup: a
-    ``(rows, width)`` view, or a ``(width,)`` view for one row.  Several
-    tables may expand the same bytes, so that each flip selects one value
-    from every table."""
-    draws = octets.take(packed, axis=0).reshape(len(packed), -1)
-    return draws[:, :width] if len(packed) > 1 else draws[0, :width]
+def octet_values(octets: np.ndarray, packed: np.ndarray, size: int) -> np.ndarray:
+    """A view of the first ``size`` draws that ``packed_bits`` bytes encode
+    through a :func:`two_point_octets` table, by one lookup; tables may
+    share the bytes, so that each flip selects a value from every table."""
+    return octets.take(packed, axis=0).reshape(-1)[:size]
 
 
 def two_point_octets(lo: float, hi: float) -> np.ndarray:

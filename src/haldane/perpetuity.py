@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._engines import annuity_batch, annuity_byte_tables, byte_rows, byte_step
+from ._engines import annuity_batch, annuity_byte_tables, byte_step
 from .environment import TWO_POINT, UNIFORM, EnvironmentModel, LinearFractionalFamily, PoissonFamily
 from .numerics import (
     InverseGammaParams, RandomStream, invgamma_cdf, ks_one_sample, ks_two_sample, octet_values,
@@ -214,41 +214,44 @@ class PerpetuitySpec:
 
     # -- sampling --------------------------------------------------------------
 
+    @property
+    def constant(self) -> bool:
+        """Every pair is the same (a degenerate environment or two constant laws) and reads no stream words."""
+        if self.model is not None:
+            return self.model.nu == 0.0
+        return isinstance(self.a_law, ConstantLaw) and isinstance(self.b_law, ConstantLaw)
+
     def sample_pairs(
         self, rng: RandomStream, size: int, rows: int = 1, *, packed: bool = False
     ) -> tuple[np.ndarray, np.ndarray] | np.ndarray:
-        """``size`` pairs (A, B); with ``rows > 1``, ``(rows, size // rows)``
-        arrays whose row j is what the j-th of ``rows`` successive calls of
-        that width would draw.  A may be a read-only broadcast view.
+        """``size`` pairs (A, B); A may be a read-only broadcast view.
 
         Under two-point noise every pair is one of two, so one packed draw
         (the stream words ``model.sample_means`` would read) selects each
         pair from two cached octet tables, with no means in between; an A
-        that is equal at both means (Poisson) is broadcast.  With
-        ``packed`` (two-point noise with ``nu > 0`` and ``rows <= 8`` only)
-        the same draws come back as one byte per column whose bit j is set
-        where row j holds the high-mean pair (:meth:`RandomStream.lane_bytes`,
-        a three-call transpose of the same words), for :meth:`byte_tables`.
-        Uniform noise and a degenerate environment map drawn means.
+        that is equal at both means (Poisson) is broadcast.  Only
+        ``packed`` draws (two-point noise with ``nu > 0``, ``rows <= 8``)
+        take ``rows``: those of ``rows`` successive calls of width ``size
+        // rows`` come back as one byte per column whose bit j selects the
+        j-th call's pair (:meth:`RandomStream.lane_bytes`), for
+        :meth:`byte_tables`.  Uniform noise and a degenerate environment
+        map drawn means; scalar laws draw A, then B.
         """
         if packed:
             if self._support_pairs is None:
                 raise ValueError("packed pairs need an environment with two-point noise and nu > 0")
             return rng.lane_bytes(size, rows)
+        if rows != 1:
+            raise ValueError(f"only packed pairs take rows > 1, got rows = {rows}")
         if self._pair_octets is not None:
             a_octets, a_lo, b_octets = self._pair_octets
-            packed_bits, width = rng.packed_rows(size, rows), size // rows
-            b = octet_values(b_octets, packed_bits, width)
-            a = np.broadcast_to(a_lo, b.shape) if a_octets is None else octet_values(a_octets, packed_bits, width)
+            bits = rng.packed_bits(size)
+            b = octet_values(b_octets, bits, size)
+            a = np.broadcast_to(a_lo, b.shape) if a_octets is None else octet_values(a_octets, bits, size)
             return a, b
         if self.model is not None:
-            means = self.model.sample_means(rng, size=size, rows=rows)
+            means = self.model.sample_means(rng, size=size)
             return _limit_shape_values(self.model, means), np.divide(1.0, means, out=means)
-        if rows > 1:
-            # scalar laws draw A then B per row, so each row keeps that order
-            width = size // rows
-            pairs = [(self.a_law.sample(rng, width), self.b_law.sample(rng, width)) for _ in range(rows)]
-            return np.stack([a for a, _ in pairs]), np.stack([b for _, b in pairs])
         return self.a_law.sample(rng, size), self.b_law.sample(rng, size)
 
     def byte_tables(self):
@@ -380,17 +383,17 @@ def sample_series_batch(
 
     Each lane runs ``acc += C_k * A_{k+1}; C_{k+1} = C_k * B_{k+1}`` in
     :func:`haldane._engines.annuity_batch`, which sets how often the rule
-    is tested and how many terms one ``sample_pairs`` call draws.  A lane
-    stops once C_k * sup(A) / (1 - exp(-theta)) < tol with theta the
-    spec's contraction rate, so the discarded tail is below ``tol`` in
-    expectation; lanes still live at ``k_max`` are flagged.
+    is tested.  A lane stops once C_k * sup(A) / (1 - exp(-theta)) < tol
+    with theta the spec's contraction rate, so the discarded tail is below
+    ``tol`` in expectation; lanes still live at ``k_max`` are flagged.
 
     Under two-point noise (where :meth:`PerpetuitySpec.byte_tables` has
     tables) each check interval is one ``sample_pairs`` draw of lane
     bytes, and a lane advances by the whole interval as ``acc +=
-    c*T_sum[b]; c *= T_prod[b]``, rounding once per block; otherwise the
-    drawn float rows step one term at a time.  Both read the same stream
-    words.
+    c*T_sum[b]; c *= T_prod[b]``, rounding once per interval; otherwise
+    each term is one ``sample_pairs`` draw.  Both read the same stream
+    words.  A constant spec runs one lane and repeats it: every lane would
+    do the same arithmetic, and its pairs read no stream words.
     """
     if not (0.0 < tol < math.inf):
         raise ValueError(f"tol must lie in (0, inf), got {tol}")
@@ -398,31 +401,29 @@ def sample_series_batch(
     _, theta = contraction_rate(spec)
     tail_scale = spec.a_upper() if math.isinf(theta) else spec.a_upper() / (-math.expm1(-theta))
     c_tol = tol / max(tail_scale, 1e-300)
-    term = np.empty(n)
+    lanes = min(n, 1) if spec.constant else n
+    term = np.empty(lanes)
 
     def stop(acc, c, prev):
         return acc, c < c_tol
 
     tables = spec.byte_tables()
     if tables is not None:
-        def draw(rows, lanes):
-            return spec.sample_pairs(rng, rows * lanes, rows, packed=True)
+        def draw(rows, width):
+            return spec.sample_pairs(rng, rows * width, rows, packed=True)
 
-        step = byte_step(tables, term, with_prev=False)
-        return annuity_batch(n, k_max, draw, step, stop, byte_rows)
+        return annuity_batch(lanes, k_max, byte_step(tables, draw, term, with_prev=False), stop)
 
-    def draw(rows, lanes):
-        a, b = spec.sample_pairs(rng, rows * lanes, rows)
-        return a.reshape(rows, lanes), b.reshape(rows, lanes)
-
-    def step(acc, c, block, rows):
+    def advance(acc, c, rows):
         out = term[:c.size]
-        for a, b in zip(*block):
+        for _ in range(rows):
+            a, b = spec.sample_pairs(rng, c.size)
             np.multiply(c, a, out=out)
             acc += out
             c *= b
 
-    return annuity_batch(n, k_max, draw, step, stop)
+    values, flags = annuity_batch(lanes, k_max, advance, stop)
+    return (values, flags) if lanes == n else (np.repeat(values, n), np.repeat(flags, n))
 
 
 def default_burn_in(spec: PerpetuitySpec) -> int:

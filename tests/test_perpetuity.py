@@ -27,7 +27,6 @@ from haldane import (
     regime_of,
     rng_stream,
 )
-from haldane import _engines
 from haldane._engines import _CHECK_EVERY
 from haldane.numerics import ks_threshold
 from haldane.perpetuity import (
@@ -144,16 +143,18 @@ _TWO_POINT_MODELS = {
 @pytest.mark.parametrize("name", sorted(_TWO_POINT_MODELS))
 def test_two_point_pairs_match_pairs_from_means(name, rows):
     """Under two-point noise the pairs come from octet tables, not from
-    drawn means; they are bitwise the means' pairs, and the stream reads on
-    as after the means draw (the words past each row's padding included)."""
+    drawn means; over ``rows`` successive draws they are bitwise the
+    means' pairs, and the stream reads on as after the means draws (the
+    words past each draw's padding included)."""
     model = _TWO_POINT_MODELS[name]()
     spec = from_environment(model)
     for width in (1, 31, 33, 4097):
         rng, twin = rng_stream(14, width), rng_stream(14, width)
-        a, b = spec.sample_pairs(rng, rows * width, rows)
-        ref_a, ref_b = _pairs_from_means(model, model.sample_means(twin, rows * width, rows))
-        assert a.shape == b.shape == ref_a.shape
-        assert np.array_equal(a, ref_a) and np.array_equal(b, ref_b)
+        for _ in range(rows):
+            a, b = spec.sample_pairs(rng, width)
+            ref_a, ref_b = _pairs_from_means(model, model.sample_means(twin, width))
+            assert a.shape == b.shape == ref_a.shape == (width,)
+            assert np.array_equal(a, ref_a) and np.array_equal(b, ref_b)
         next_words = (r.generator.integers(0, 2**32, 4, dtype=np.uint32) for r in (rng, twin))
         assert np.array_equal(*next_words)
 
@@ -170,10 +171,11 @@ def test_packed_pairs_step_as_the_pairs_do(name):
         rng, twin = rng_stream(16, rows), rng_stream(16, rows)
         lane_bytes = spec.sample_pairs(rng, rows * 4097, rows, packed=True)
         assert np.array_equal(lane_bytes, model.sample_means(twin, rows * 4097, rows, packed=True))
-        a, b = (x.reshape(rows, 4097) for x in spec.sample_pairs(rng_stream(16, rows), rows * 4097, rows))
+        one_row = rng_stream(16, rows)
         acc, c = np.zeros(4097), np.ones(4097)
-        for j in range(rows):
-            acc, c = acc + c * a[j], c * b[j]
+        for _ in range(rows):
+            a, b = spec.sample_pairs(one_row, 4097)
+            acc, c = acc + c * a, c * b
         assert np.array_equal(sums[rows][lane_bytes], acc)
         assert np.array_equal(products[rows][lane_bytes], c)
 
@@ -185,26 +187,16 @@ def test_packed_pairs_need_a_two_point_environment():
             spec.sample_pairs(rng_stream(1, 0), 8, 8, packed=True)
 
 
-def test_block_rows_keep_blocks_below_huge_pages():
-    # a float64 block stays below the 4 MiB from which numpy maps arrays
-    # with huge pages, and within 2 MiB with its rows padded to whole 32-bit
-    # stream words, as the octet lookups allocate it
-    for lanes in [*range(1, 4097), *range(4097, 2**18 + 1, 97), 32_767, 32_768, 32_769, 2**18]:
-        rows = _engines._block_rows(lanes)
-        assert rows * lanes * 8 < 4 << 20
-        assert rows * 32 * -(-lanes // 32) * 8 <= 2 << 20
-    assert _engines._block_rows(25_000) == 8 and _engines._block_rows(32_769) == 4
-
-
 def test_series_peak_memory_per_lane_plus_two_blocks():
     """25,000 lanes draw 8 terms per call.  The traced peak stays within
-    two float64 blocks (A and B) plus 64 bytes per lane, the bound of
-    pairs drawn as float rows; a two-point spec draws one byte per lane
-    instead, and stays within 96 bytes per lane: its state (values, flags,
-    index, discount, sum and term, 41 bytes), the draw (packed bits, their
-    transposed square and its temporary, and the intp lane bytes, 11
-    bytes) and the masks and compacted copies of a retirement.  One live
-    float64 block (64 bytes per lane at 8 rows) would pass that bound."""
+    one float64 row of A and of B plus 64 bytes per lane, the bound of
+    pairs drawn one term at a time; a two-point spec draws one byte per
+    lane instead, and stays within 96 bytes per lane: its state (values,
+    flags, index, discount, sum and term, 41 bytes), the draw (packed
+    bits, their transposed square and its temporary, and the intp lane
+    bytes, 11 bytes) and the masks and compacted copies of a retirement.
+    One live float64 block (64 bytes per lane at 8 rows) would pass that
+    bound."""
     lanes = 25_000
     spec = from_environment(make_environment("linear_fractional", 0.05, 0.05))
     sample_series_batch(spec, 64, rng_stream(9, 0))  # first-use allocations
@@ -215,7 +207,7 @@ def test_series_peak_memory_per_lane_plus_two_blocks():
     finally:
         tracemalloc.stop()
     assert not flags.any()
-    assert peak <= 64 * lanes + 2 * 8 * _engines._BLOCK_DRAWS
+    assert peak <= 64 * lanes + 2 * 8 * lanes
     assert peak <= 96 * lanes
 
 
@@ -427,6 +419,39 @@ def test_series_block_draws_match_one_term_per_draw(name, k_max):
         assert np.array_equal(flags, ref_flags)
         next_words = (r.generator.integers(0, 2**32, 4, dtype=np.uint32) for r in (rng, ref_rng))
         assert np.array_equal(*next_words)
+
+
+@pytest.mark.parametrize(
+    "make_spec",
+    [_ORACLE_SPECS["finite-nu0"], lambda: PerpetuitySpec(a_law=ConstantLaw(0.5), b_law=ConstantLaw(0.99))],
+    ids=["finite-nu0", "constant"],
+)
+def test_constant_series_run_one_lane(monkeypatch, make_spec):
+    # every lane of a constant spec does the same arithmetic, so one lane
+    # repeated gives the one-term oracle's values and flags bitwise; its
+    # pairs read no stream words
+    spec = make_spec()
+    assert spec.constant
+    widths = []
+    draw = PerpetuitySpec.sample_pairs
+    monkeypatch.setattr(PerpetuitySpec, "sample_pairs",
+                        lambda self, rng, size: widths.append(size) or draw(self, rng, size))
+    for k_max in (5, 21, 200_000):
+        for n in (1, 33, 4097):
+            widths.clear()
+            values, flags = sample_series_batch(spec, n, rng_stream(12, n), k_max=k_max)
+            assert set(widths) == {1}
+            rng = rng_stream(12, n)
+            ref_values, ref_flags = _series_one_term_per_draw(spec, n, rng, k_max=k_max)
+            assert np.array_equal(values, ref_values) and np.array_equal(flags, ref_flags)
+            next_words = (r.generator.integers(0, 2**32, 4, dtype=np.uint32) for r in (rng, rng_stream(12, n)))
+            assert np.array_equal(*next_words)
+
+
+def test_only_packed_pairs_take_rows():
+    for name in ("poisson", "poisson-uniform", "scalar", "finite-nu0"):
+        with pytest.raises(ValueError, match="only packed pairs"):
+            _ORACLE_SPECS[name]().sample_pairs(rng_stream(1, 0), 16, 2)
 
 
 def test_empty_series_returns_without_drawing(monkeypatch):

@@ -334,7 +334,7 @@ def test_lf_stop_matches_the_full_width_rule(monkeypatch, noise):
     # on both sides of tol_mu, of tol_q and of the extinction floor
     model = make_environment("linear_fractional", epsilon=0.05, nu=0.025, noise=noise)
     kappa, tol_q, tol_mu = 0.3 / 0.7, 1e-8, 1e-6
-    monkeypatch.setattr(_engines, "annuity_batch", lambda n_lanes, n_max, draw, step, stop, *rest: stop)
+    monkeypatch.setattr(_engines, "annuity_batch", lambda n_lanes, n_max, advance, stop: stop)
     stop = _engines.gf_lf_batch(model, 1, 1, 0, tol_q, tol_mu, 100)
     gen = np.random.default_rng(21)
     n = 4096
@@ -404,6 +404,24 @@ def test_lf_block_draws_match_one_generation_per_draw(monkeypatch, eps, rho, n_m
         ref_values, ref_flagged = _lf_one_generation_per_draw(model, n_lanes, ref_rng, 1e-8, 1e-6, n_max)
         np.testing.assert_allclose(values, ref_values, rtol=1e-12, atol=0.0)
         assert np.array_equal(flagged, ref_flagged)
+        next_words = (r.generator.integers(0, 2**32, 4, dtype=np.uint32) for r in (streams[-1], ref_rng))
+        assert np.array_equal(*next_words)
+
+
+@pytest.mark.parametrize("n_max", [5, 21, 100_000])
+@pytest.mark.parametrize("eps, nu", [(0.05, 0.02), (0.01, 0.03), (0.05, 0.0)])
+def test_lf_uniform_draws_match_one_generation_per_draw(monkeypatch, eps, nu, n_max):
+    # under uniform noise (and at nu = 0) the kernel draws and steps one
+    # generation at a time, so values, flags and stream use match bitwise;
+    # lanes retire on convergence at eps = 0.05 and on the extinction
+    # floor at rho = 3
+    streams = _capture_streams(monkeypatch)
+    model = make_environment("linear_fractional", epsilon=eps, nu=nu, noise="uniform")
+    for n_lanes in (1, 33, 4097):
+        values, flagged = _engines.gf_lf_batch(model, n_lanes, 5, n_lanes, 1e-8, 1e-6, n_max)
+        ref_rng = rng_stream(5, n_lanes)
+        ref_values, ref_flagged = _lf_one_generation_per_draw(model, n_lanes, ref_rng, 1e-8, 1e-6, n_max)
+        assert np.array_equal(values, ref_values) and np.array_equal(flagged, ref_flagged)
         next_words = (r.generator.integers(0, 2**32, 4, dtype=np.uint32) for r in (streams[-1], ref_rng))
         assert np.array_equal(*next_words)
 
