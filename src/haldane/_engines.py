@@ -197,7 +197,8 @@ def gf_lf_batch(
     ``sample_means`` draw of lane bytes, and a lane advances by the
     whole interval through :func:`annuity_byte_tables` (``S_prev = S +
     C*T_prev[b]``, ``S += C*T_sum[b]``, ``C *= T_prod[b]``); otherwise
-    each generation is one ``sample_means`` draw, stepped as ``S += C;
+    each generation is one ``sample_means`` draw (none at nu = 0: every
+    generation divides by the one mean 1 + eps), stepped as ``S += C;
     C /= m``.  Both read the same stream words; the byte path rounds once
     per interval.
 
@@ -224,12 +225,14 @@ def gf_lf_batch(
 
         return annuity_batch(n_lanes, n_max, byte_step(tables, draw, np.empty(n_lanes), with_prev=True), stop)
 
+    mean = 1.0 + model.epsilon if model.nu == 0.0 else None
+
     def advance(total, discount, rows):
         for j in range(rows):
             if j == rows - 1:
                 prev = total.copy()
             total += discount
-            discount /= model.sample_means(stream, discount.size)
+            discount /= model.sample_means(stream, discount.size) if mean is None else mean
         return prev
 
     return annuity_batch(n_lanes, n_max, advance, stop)

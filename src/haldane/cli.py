@@ -31,7 +31,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from ._engines import HorizonStorageError
-from .environment import RegimeParams, make_environment
+from .environment import make_environment
 from .numerics import rng_stream
 from .perpetuity import (
     ConstantLaw,
@@ -45,7 +45,7 @@ from .perpetuity import (
     limit_law,
     regime_of,
 )
-from .survival import estimate_survival_gf, haldane_prediction, simulate_population
+from .survival import SweepRow, estimate_survival_gf, simulate_population
 from .verify import run_checks
 
 __all__ = ["main"]
@@ -247,14 +247,6 @@ def cmd_survival(args) -> int:
     overrun_total = 0
     with _library():
         for i, model in enumerate(_environments(config)):
-            eps, nu = model.epsilon, model.nu
-            sigma_sq = model.family.sigma_sq_limit()
-            rho_row = nu / eps if eps > 0 else math.inf
-            try:
-                params = RegimeParams(epsilon=eps, nu=nu, rho=rho_row, sigma_sq=sigma_sq)
-                prediction = haldane_prediction(params)
-            except ValueError:
-                prediction = None  # transition ratio rho = 2 or invalid regime
             for kind in estimators:
                 if kind == "gf":
                     result = estimate_survival_gf(
@@ -268,18 +260,13 @@ def cmd_survival(args) -> int:
                     )
                     flagged = result.n_overrun
                     overrun_total += result.n_overrun
-                if prediction is None:
-                    ratio = None
-                elif prediction > 0.0:
-                    ratio = result.estimate / prediction
-                else:
-                    ratio = result.estimate
+                row = SweepRow.of(model, result)
                 rows.append({
-                    "family": model.family.name, "noise": model.noise, "epsilon": eps, "nu": nu,
-                    "rho": rho_row, "sigma_sq": sigma_sq, "estimator": kind,
+                    "family": model.family.name, "noise": model.noise, "epsilon": row.epsilon, "nu": row.nu,
+                    "rho": row.rho, "sigma_sq": row.sigma_sq, "estimator": kind,
                     "pi_hat": result.estimate, "stderr": result.std_error,
                     "ci_lo": result.ci_lo, "ci_hi": result.ci_hi,
-                    "prediction": prediction, "ratio": ratio,
+                    "prediction": row.prediction, "ratio": row.ratio,
                     "n_reps": result.n_reps, "n_flagged": flagged, "seed": seed,
                 })
     _write_table(args.out, "survival", _SURVIVAL_COLUMNS, rows, args.json)

@@ -357,10 +357,14 @@ def simulate_population(
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One sweep point: estimate plus its regime prediction.
+    """One survival-table point: a model's estimate beside its regime
+    prediction, as :meth:`of` derives them.
 
-    ``ratio`` is estimate/prediction, or the raw estimate when the
-    prediction is zero (the subcritical regime).
+    ``rho`` is nu/epsilon (inf at epsilon = 0).  ``prediction`` is None
+    where the paper makes none: at the transition rho = 2, and wherever
+    :class:`RegimeParams` rejects the point (epsilon <= 0).  ``ratio`` is
+    estimate/prediction, the raw estimate when the prediction is zero (the
+    subcritical regime), and None without a prediction.
     """
 
     epsilon: float
@@ -368,8 +372,21 @@ class SweepRow:
     rho: float
     sigma_sq: float
     result: EstimateResult
-    prediction: float
-    ratio: float
+    prediction: float | None
+    ratio: float | None
+
+    @classmethod
+    def of(cls, model: EnvironmentModel, result: EstimateResult) -> "SweepRow":
+        eps, nu = model.epsilon, model.nu
+        rho = nu / eps if eps > 0.0 else math.inf
+        sigma_sq = model.family.sigma_sq_limit()
+        try:
+            prediction = haldane_prediction(RegimeParams(epsilon=eps, nu=nu, rho=rho, sigma_sq=sigma_sq))
+        except ValueError:
+            prediction = ratio = None
+        else:
+            ratio = result.estimate / prediction if prediction > 0.0 else result.estimate
+        return cls(eps, nu, rho, sigma_sq, result, prediction, ratio)
 
 
 def haldane_sweep(
@@ -388,9 +405,10 @@ def haldane_sweep(
 
     Each row couples the environment variance exactly to the mean excess,
     runs the generating-function estimator, and reports the ratio to the
-    regime prediction.  Row i draws from stream ids starting at i << 32 of
-    the same master seed, so rows are independent and the whole table is
-    reproducible from ``seed``.
+    regime prediction (:meth:`SweepRow.of`).  Row i draws from stream ids
+    starting at (2i) << 32 of the same master seed, the layout of the
+    gf rows of ``haldane sweep``: rows are independent, the whole table is
+    reproducible from ``seed``, and the CLI prints the same numbers.
     """
     eps_list = [float(e) for e in eps_list]
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
@@ -400,28 +418,8 @@ def haldane_sweep(
     rows = []
     for i, eps in enumerate(eps_list):
         model = make_environment(family, epsilon=eps, nu=rho * eps, noise=noise)
-        params = RegimeParams.from_environment(model)
         result = estimate_survival_gf(
-            model,
-            n_reps=n_reps,
-            seed=seed,
-            tol_q=tol_q,
-            tol_mu=tol_mu,
-            n_max=n_max,
-            stream_base=i << 32,
+            model, n_reps=n_reps, seed=seed, tol_q=tol_q, tol_mu=tol_mu, n_max=n_max, stream_base=(2 * i) << 32,
         )
-        prediction = haldane_prediction(params)
-        ratio = result.estimate / prediction if prediction > 0.0 else result.estimate
-        rows.append(
-            SweepRow(
-                epsilon=eps,
-                nu=rho * eps,
-                rho=rho,
-                sigma_sq=params.sigma_sq,
-                result=result,
-                prediction=prediction,
-                ratio=ratio,
-            )
-        )
+        rows.append(SweepRow.of(model, result))
     return rows
-

@@ -46,6 +46,7 @@ from .perpetuity import (
     sample_series_batch,
 )
 from .survival import (
+    SweepRow,
     backward_extinction,
     estimate_survival_gf,
     gw_fixed_point_survival,
@@ -485,7 +486,7 @@ def _criterion_degenerate_env():
         gap = abs(res.estimate - oracle)
         if gap > 3.0 * res.std_error + 1e-5:
             passed = False
-        ratio = res.estimate / (2.0 * eps / 1.0)
+        ratio = SweepRow.of(model, res).ratio
         ratios.append(ratio)
         details.append(f"eps={eps}: gap={gap:.1e}, ratio={ratio:.4f}")
     if not (0.85 <= ratios[-1] <= 1.0):

@@ -1,6 +1,7 @@
 """CLI tests: config validation, exit codes, CSV reproducibility, the JSON
 mirror, and the verify table (including mutation sensitivity)."""
 
+import csv
 import functools
 import hashlib
 import json
@@ -9,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from haldane import perpetuity, rng_stream, verify
+from haldane import (
+    SweepRow, haldane_sweep, make_environment, perpetuity, rng_stream, simulate_population, verify,
+)
 from haldane.cli import main
 
 
@@ -122,6 +125,50 @@ def test_survival_both_estimators(tmp_path):
     rows = _body(out)[1:]
     kinds = {row.split(",")[6] for row in rows}
     assert kinds == {"gf", "population"}
+
+
+_ROW_FIELDS = ("epsilon", "nu", "rho", "sigma_sq", "pi_hat", "stderr", "prediction", "ratio")
+
+
+def _table(path, estimator):
+    """The ``_ROW_FIELDS`` of each of ``estimator``'s CSV rows, as floats
+    (None where a cell is empty)."""
+    rows = csv.DictReader(_body(path))
+    return [tuple(float(row[k]) if row[k] else None for k in _ROW_FIELDS) for row in rows
+            if row["estimator"] == estimator]
+
+
+def _fields(row: SweepRow):
+    r = row.result
+    return (row.epsilon, row.nu, row.rho, row.sigma_sq, r.estimate, r.std_error, row.prediction, row.ratio)
+
+
+@pytest.mark.parametrize("family, rho, eps_list, estimator", [
+    ("linear_fractional", 1.0, (0.05, 0.02), "both"),
+    ("poisson", 2.0, (0.05, 0.0), "gf"),  # no prediction at rho = 2, nor at eps = 0 (rho = inf)
+])
+def test_sweep_gf_rows_match_haldane_sweep(tmp_path, family, rho, eps_list, estimator):
+    # point i of both draws from (2i) << 32, so one seed gives one table
+    eps_cell = ", ".join(map(str, eps_list))
+    cfg = _write(tmp_path / "sweep.cfg", f"family = {family}\nrho = {rho}\neps_list = {eps_cell}\n"
+                 f"n_max = 2000\nn_reps = 512\nseed = 13\nestimator = {estimator}\n")
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    rows = haldane_sweep(family, rho, eps_list, n_reps=512, seed=13, n_max=2000)
+    assert _table(out, "gf") == [_fields(row) for row in rows]
+
+
+def test_population_rows_match_the_row_constructor(tmp_path):
+    cfg = _write(tmp_path / "pop.cfg", "family = poisson\nrho = 0.5\neps_list = 0.05, 0.02\n"
+                 "n_reps = 512\nseed = 13\nestimator = population\n")
+    out = tmp_path / "pop.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    expected = []
+    for i, eps in enumerate((0.05, 0.02)):
+        model = make_environment("poisson", eps, 0.5 * eps)
+        result = simulate_population(model, n_reps=512, seed=13, stream_base=(2 * i + 1) << 32)
+        expected.append(_fields(SweepRow.of(model, result)))
+    assert _table(out, "population") == expected
 
 
 def test_survival_positivity_config_error(tmp_path, capsys):

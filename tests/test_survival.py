@@ -773,6 +773,18 @@ def test_sweep_subcritical_row():
     assert rows[0].ratio == rows[0].result.estimate
 
 
+def test_sweep_rows_without_prediction():
+    # the paper predicts nothing at the transition rho = 2, nor at eps = 0
+    # (rho = nu/eps = inf): those rows carry their estimate and no ratio
+    at_transition = haldane_sweep("poisson", rho=2.0, eps_list=(0.05, 0.02), n_reps=256, seed=3, n_max=2000)
+    assert [row.rho for row in at_transition] == [2.0, 2.0]
+    ending_at_zero = haldane_sweep("poisson", rho=1.0, eps_list=(0.05, 0.0), n_reps=64, seed=3, n_max=500)
+    assert ending_at_zero[0].prediction == pytest.approx(0.05) and ending_at_zero[1].rho == math.inf
+    for row in (*at_transition, ending_at_zero[1]):
+        assert (row.prediction, row.ratio) == (None, None)
+        assert 0.0 < row.result.estimate < 1.0
+
+
 def test_sweep_validation():
     with pytest.raises(ValueError, match="decreasing"):
         haldane_sweep("poisson", rho=0.0, eps_list=(0.02, 0.05), n_reps=10, seed=1)
