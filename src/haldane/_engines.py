@@ -20,10 +20,11 @@ environment runs one lane of its family's route):
   generation;
 * for every other family under either noise kind, a block-doubling
   backward replay over a stored environment matrix (packed stream bits
-  under two-point noise, one float64 law parameter per lane and
-  generation under uniform noise) at geometrically spaced checkpoint
-  horizons, one family evaluation per lane-generation, read in blocks of
-  32 generations (:func:`_survival_backward_pair`).
+  under two-point noise, one law parameter per lane-generation under
+  uniform noise: a rate, or a tilt, in closed form on {0, 1, 2}) at
+  doubling checkpoints, in blocks of 32 (:func:`_survival_backward_pair`);
+  Poisson replays horizon n alone, and n-1 too only where a concavity
+  bound on the increment leaves the stopping rule undecided.
 
 ``gf_scalar_path`` replays one path law by law in pure Python; it is the
 per-path oracle of the tests, not an estimator route.
@@ -250,7 +251,7 @@ _REPLAY_BLOCK = 32
 _POPCOUNT = BYTE_BITS.sum(axis=1, dtype=np.uint8)
 
 
-def _survival_backward_pair(family, table, env: np.ndarray, n: int):
+def _survival_backward_pair(family, table, env: np.ndarray, n: int, slopes: bool = False):
     """Conditional survival of horizons n and n-1 over a stored environment.
 
     ``env`` has one row per lane.  Under two-point noise it holds the
@@ -261,6 +262,8 @@ def _survival_backward_pair(family, table, env: np.ndarray, n: int):
     generation k+1.  Returns (u, v) with u the survival for the length-n
     path and v for the same path truncated after n-1 generations; u <= v
     lane-wise.  Both are advanced by one family evaluation per generation.
+    With ``slopes`` (Poisson only) it replays u alone and returns (u, s), s
+    the sum of the products -lam r that its steps pass to ``expm1``.
 
     ``env`` is read as transposed blocks of ``_REPLAY_BLOCK`` generations.
     Under two-point noise each coefficient row gets one
@@ -269,11 +272,15 @@ def _survival_backward_pair(family, table, env: np.ndarray, n: int):
     time into one (K, 8, L) buffer kept for the whole call: a buffer for
     a whole block would be 4x larger, and at 16,384 lanes over numpy's
     4 MiB huge-page threshold.  The steps write into two (2, L) arrays in
-    turn (the Poisson step allocates nothing; the finite step only the
-    temporaries of ``offspring.finite_tail_sum``).
+    turn, or three (L,) with ``slopes``, and allocate nothing (but for a
+    finite template beyond {0, 1, 2}, the temporaries of ``finite_tail_sum``).
     """
     lanes = env.shape[0]
-    uv, out = np.ones((2, lanes)), np.empty((2, lanes))
+    if slopes:  # on w = -u with the rates, a step is w <- expm1(lam w)
+        table = None if table is None else -table
+        w, p, total = np.full(lanes, -1.0), np.empty(lanes), np.zeros(lanes)
+    else:
+        uv, out = np.ones((2, lanes)), np.empty((2, lanes))
     if table is not None:
         octets = [np.ascontiguousarray(two_point_octets(lo, hi).T) for lo, hi in table]
         coefs = np.empty((len(octets), 8, lanes))
@@ -281,6 +288,8 @@ def _survival_backward_pair(family, table, env: np.ndarray, n: int):
         stop = min(start + _REPLAY_BLOCK, n)
         if table is None:
             block = family.step_coefficients(np.ascontiguousarray(env[:, start:stop].T))
+            if slopes:
+                np.negative(block, out=block)
         else:
             # intp once per block: take would copy byte indices to intp per row
             block = np.ascontiguousarray(env[:, start // 8:(stop + 7) // 8].T, dtype=np.intp)
@@ -290,11 +299,15 @@ def _survival_backward_pair(family, table, env: np.ndarray, n: int):
                     # byte indices never clip; "clip" lets take write into out unbuffered
                     octet.take(block[g // 8], axis=1, out=row, mode="clip")
             step = block[:, g] if table is None else coefs[:, g % 8]
-            if start + g == n - 1:
+            if slopes:
+                np.multiply(step[0], w, out=p)
+                total += p
+                np.expm1(p, out=w)
+            elif start + g == n - 1:
                 uv[0] = family.survival_step(step, uv[0], out[0])
             else:
                 uv, out = family.survival_step(step, uv, out), uv
-    return uv[0], uv[1]
+    return (np.negative(w, out=w), total) if slopes else (uv[0], uv[1])
 
 
 def _draw_environment(model: EnvironmentModel, stream, env: np.ndarray, log_mu: np.ndarray,
@@ -374,6 +387,12 @@ def gf_replay_batch(
         table = family.step_coefficients(family.law_params([m_lo, m_hi]))
     else:
         log_support = table = None
+    # Poisson: H = h_1...h_{n-1} is concave with H(0) = 0, so v - u = H(1) -
+    # H(h_n(1)) <= H'(h_n(1)) (1 - h_n(1)) = exp(log_mu + s - log lam_n), and
+    # lam_n >= m_lo.  Below tol_q / 2 it certifies a lane while the rounding
+    # of v - u (about 4n ulp: relative errors do not grow through concave
+    # maps fixing 0) stays below tol_q / 4 and that of s (n^2 ulp) small.
+    log_half_tol = math.log(tol_q / 2.0) - max(0.0, -math.log(model.mean_bounds()[0]))
 
     stream = rng_stream(seed, stream_id)
     values = np.zeros(n_lanes)
@@ -411,8 +430,21 @@ def gf_replay_batch(
         done = extinct.copy()
         if np.any(check):
             # the copy of the checked rows is freed before retiring copies env
-            u, v = _survival_backward_pair(family, table, env if check.all() else env[check], n)
-            converged = (u < EXTINCTION_FLOOR) | (mu_ok[check] & (v - u < tol_q))
+            checked = env if check.all() else env[check]
+            if family.name == "poisson" and n * 2.0**-49 < tol_q and n < 1 << 22:
+                u, slope = _survival_backward_pair(family, table, checked, n, slopes=True)
+                converged = u < EXTINCTION_FLOOR
+                pending = mu_ok[check] & ~converged
+                certified = pending & (log_mu[check] + slope < log_half_tol)
+                converged |= certified
+                redo = np.flatnonzero(pending & ~certified)
+                if redo.size:
+                    u_redo, v = _survival_backward_pair(family, table, checked[redo], n)
+                    converged[redo] = v - u_redo < tol_q
+            else:
+                u, v = _survival_backward_pair(family, table, checked, n)
+                converged = (u < EXTINCTION_FLOOR) | (mu_ok[check] & (v - u < tol_q))
+            del checked
             rows = np.flatnonzero(check)
             values[idx[rows]] = u
             if n >= n_max:
@@ -492,21 +524,25 @@ def _offspring_sum_lf(gen, p0, p, z):
     return total
 
 
-def _offspring_sum_finite(gen, weights, z):
-    """Sum of z iid draws from per-lane finite pmfs.
-
-    ``weights`` has one row per lane; the multinomial split is realized as
-    a chain of conditional binomials from the top of the support down.
-    """
-    rows, k_plus_1 = weights.shape
-    remaining = z.astype(np.int64).copy()
+def _binomial_fractions(weights):
+    """Per value v from the top of the support down to 1, the mass of v
+    over that of {0, ..., v} under each row of ``weights``."""
     cum = np.cumsum(weights, axis=1)  # cum[:, v] = mass of {0, ..., v}
-    total = np.zeros(rows, dtype=np.int64)
-    for value in range(k_plus_1 - 1, 0, -1):
-        mass = cum[:, value]
-        frac = np.zeros(rows)
-        np.divide(weights[:, value], mass, out=frac, where=mass > 1e-300)
-        count = gen.binomial(remaining, np.clip(frac, 0.0, 1.0))
+    fractions = []
+    for value in range(weights.shape[1] - 1, 0, -1):
+        frac = np.zeros(weights.shape[0])
+        np.divide(weights[:, value], cum[:, value], out=frac, where=cum[:, value] > 1e-300)
+        fractions.append(np.clip(frac, 0.0, 1.0))
+    return fractions
+
+
+def _offspring_sum_finite(gen, fractions, z):
+    """Sum of z iid draws from per-lane finite pmfs, split by conditional
+    binomials with the chances ``fractions`` (:func:`_binomial_fractions`)."""
+    remaining = z.astype(np.int64).copy()
+    total = np.zeros(z.size, dtype=np.int64)
+    for value, frac in zip(range(len(fractions), 0, -1), fractions):
+        count = gen.binomial(remaining, frac)
         total += value * count
         remaining -= count
     return total
@@ -538,13 +574,10 @@ def population_batch(
     z = np.ones(n_lanes, dtype=np.int64)
     work = np.zeros(n_lanes, dtype=np.int64)
 
-    two_point_weights = None
+    two_point_fractions = None
     if family.name == "finite" and model.noise == TWO_POINT and model.nu > 0.0:
-        m_lo, m_hi = model.support_means()
-        two_point_weights = (
-            np.asarray(model.law_for_mean(m_lo).weights),
-            np.asarray(model.law_for_mean(m_hi).weights),
-        )
+        laws = np.array([model.law_for_mean(m).weights for m in model.support_means()])
+        two_point_fractions = _binomial_fractions(laws)
 
     while idx.size:
         m = model.sample_means(stream, size=idx.size)
@@ -553,13 +586,12 @@ def population_batch(
         elif family.name == "linear_fractional":
             z = _offspring_sum_lf(gen, family.p0, 1.0 - (1.0 - family.p0) / m, z)
         else:
-            if two_point_weights is not None:
-                lo_w, hi_w = two_point_weights
-                hi_mask = m > (1.0 + model.epsilon)
-                weights = np.where(hi_mask[:, None], hi_w[None, :], lo_w[None, :])
+            if two_point_fractions is not None:
+                high = m > (1.0 + model.epsilon)
+                fractions = [np.where(high, frac[1], frac[0]) for frac in two_point_fractions]
             else:
-                weights = family.tilted_weights(family.law_params(m))
-            z = _offspring_sum_finite(gen, weights, z)
+                fractions = _binomial_fractions(family.tilted_weights(family.law_params(m)))
+            z = _offspring_sum_finite(gen, fractions, z)
 
         work = work + z
         hit_cap = z >= cap

@@ -162,7 +162,8 @@ class FinitePmfFamily:
         return FinitePmf(self.tilted_weights(self.law_params([m]))[0])
 
     def law_params(self, means) -> np.ndarray:
-        """The tilt of each law, by a vectorized safeguarded Newton solve.
+        """The tilt of each law: in closed form for a template on {0, 1, 2},
+        otherwise by a vectorized safeguarded Newton solve.
 
         Every operation acts elementwise and a converged row is frozen, so
         each tilt is bitwise independent of the other means in the batch.
@@ -184,11 +185,24 @@ class FinitePmfFamily:
             raise ValueError(
                 f"family mean domain: mean {target[outside][0]} not attainable by tilting the template"
             )
+        if z_max <= 2:
+            t.ravel()[todo] = self._quadratic_tilt(target)
+            return t
         # chunks small enough to stay in cache; rows never interact
         t.ravel()[todo] = np.concatenate([
             self._solve_tilt(target[i:i + _TILT_CHUNK]) for i in range(0, target.size, _TILT_CHUNK)
         ])
         return t
+
+    def _quadratic_tilt(self, target: np.ndarray) -> np.ndarray:
+        """x = e^t, the positive root of ``w2 (2 - m) x^2 + w1 (1 - m) x - m w0``,
+        as ``2c / (b + sqrt(disc))`` where b > 0 (so where a = 0): no cancellation."""
+        w0, w1, w2 = (self.template + (0.0, 0.0))[:3]
+        a, b, c = w2 * (2.0 - target), w1 * (1.0 - target), w0 * target
+        root = np.sqrt(b * b + 4.0 * a * c)
+        x = np.divide(root - b, 2.0 * a, out=np.empty_like(a), where=b <= 0.0)
+        np.divide(2.0 * c, b + root, out=x, where=b > 0.0)
+        return np.log(x)
 
     def _solve_tilt(self, target: np.ndarray) -> np.ndarray:
         # The first Newton step from t = 0 in closed form; [lo, hi] brackets
@@ -259,7 +273,11 @@ class FinitePmfFamily:
     def survival_step(coefs, r, out) -> np.ndarray:
         """1 - f(1 - r) lane by lane into ``out`` (which must not be ``r``),
         with ``coefs[z-1]`` the weights w_z."""
-        return np.multiply(r, finite_tail_sum(coefs, np.subtract(1.0, r, out=out)), out=out)
+        s = np.subtract(1.0, r, out=out)
+        if len(coefs) == 2:  # finite_tail_sum's w1 + w2 (1 s + 1) without temporaries
+            np.multiply(np.add(s, 1.0, out=s), coefs[1], out=s)
+            return np.multiply(r, np.add(s, coefs[0], out=s), out=out)
+        return np.multiply(r, finite_tail_sum(coefs, s), out=out)
 
     def validate_mean_range(self, m_lo: float, m_hi: float) -> None:
         z_min, z_max = float(self._support[0]), float(self._support[-1])

@@ -335,3 +335,22 @@ def test_tilt_keeps_exact_template_at_template_mean():
         degenerate.law_for_mean(1.5)
     with pytest.raises(ValueError, match="family mean domain"):
         family.law_params([1.0, 4.0])
+
+
+@pytest.mark.parametrize("template", [(0.25, 0.5, 0.25), (0.2, 0.5, 0.3), (0.5, 0.0, 0.5), (0.3, 0.7), FIVE_POINT])
+def test_tilt_in_closed_form_on_three_points_matches_newton(monkeypatch, template):
+    """Templates on {0, 1, 2} take their tilt from the positive root of a
+    quadratic in e^t, within 1e-14 of the Newton solve near the ends of
+    the mean range and near 1 (with the tilt 0 exactly at the template
+    mean); larger templates still solve by Newton."""
+    family = FinitePmfFamily(template)
+    k = len(template) - 1
+    means = np.array([0.02, 0.05, 0.5, 1.0 - 1e-9, 1.0 + 1e-9, 1.03, k - 0.05, k - 0.02])
+    means = means[(0.01 < means) & (means < k - 0.01)]  # Newton's own error grows at the ends
+    newton = family._solve_tilt(means)
+    solves = []
+    solve = FinitePmfFamily._solve_tilt
+    monkeypatch.setattr(FinitePmfFamily, "_solve_tilt", lambda self, target: solves.append(target.size) or solve(self, target))
+    assert np.max(np.abs(family.law_params(means) - newton)) <= 1e-14
+    assert solves == ([] if k <= 2 else [means.size])
+    assert np.array_equal(family.law_params([family._mean, family._mean + 5e-16]), [0.0, 0.0])

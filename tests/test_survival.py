@@ -553,6 +553,65 @@ def test_replay_engine_matches_scalar_oracle_per_lane(name, noise):
     assert any(flagged) and not all(flagged)
 
 
+# nu = 0.2 puts the lower means below 1, where the bound needs its
+# -log lam_n: without it, it failed on about 5% of these lanes
+@pytest.mark.parametrize("nu, n", [(0.05, 20), (0.05, 301), (0.2, 20), (0.2, 60)])
+@pytest.mark.parametrize("noise", ["two_point", "uniform"])
+def test_poisson_slope_bound_holds_lane_wise(noise, nu, n):
+    """The u-only replay gives the pair's u bitwise, and its slope sum s
+    bounds the increment through the concavity of the composed map:
+    v - u <= exp(log mu_n - log lam_n + s), up to the rounding of u and v."""
+    model = make_environment("poisson", epsilon=0.05, nu=nu, noise=noise)
+    means, _, table, env = _replay_inputs(model, 200, n, seed=7)
+    u, v = _engines._survival_backward_pair(model.family, table, env, n)
+    u_only, slope = _engines._survival_backward_pair(model.family, table, env, n, slopes=True)
+    assert u_only.tobytes() == u.tobytes()
+    bound = np.exp(np.log(means).sum(axis=1) - np.log(means[:, -1]) + slope)
+    assert np.all(v - u <= bound + 4 * n * 2.0**-53)
+    assert np.any(v - u > 1e-6)  # increments above rounding level are bounded too
+
+
+@pytest.mark.parametrize("tol_q, tol_mu, n_max", [
+    (1e-4, 1e-6, 100_000),
+    (1e-8, 1e-6, 100_000),
+    (1e-12, 1e-6, 100_000),
+    (1e-8, 1e-6, 1001),  # unaligned: the last draw and replay end inside a byte
+    (1e-12, 0.99, 300),  # every checked lane falls back to the pair
+])
+@pytest.mark.parametrize("noise", ["two_point", "uniform"])
+def test_poisson_replay_equals_pair_only_replay(monkeypatch, noise, tol_q, tol_mu, n_max):
+    """Certifying increments by the concavity bound changes no value and no
+    flag: the batch equals, bitwise, a run in which every lane the
+    mean-growth condition admits replays the pair."""
+    model = make_environment("poisson", 0.05, 0.025, noise)
+    replay = _engines._survival_backward_pair
+    calls = []
+
+    def spy(family, table, env, n, slopes=False):
+        calls.append((n, slopes, env.shape[0]))
+        return replay(family, table, env, n, slopes)
+
+    monkeypatch.setattr(_engines, "_survival_backward_pair", spy)
+    values, flags = _engines.gf_replay_batch(model, 256, 4, 1, tol_q, tol_mu, n_max)
+    # lanes the u-only replay certified, per horizon it ran at
+    certified = [
+        sum(lanes if slopes else -lanes for m, slopes, lanes in calls if m == n)
+        for n, slopes, _ in calls if slopes
+    ]
+    if tol_mu == 0.99:
+        assert certified and not any(certified)
+    else:
+        assert any(certified)
+
+    def pair_only(family, table, env, n, slopes=False):
+        u, s = replay(family, table, env, n, slopes)
+        return (u, np.full(u.shape, np.inf)) if slopes else (u, s)
+
+    monkeypatch.setattr(_engines, "_survival_backward_pair", pair_only)
+    ref_values, ref_flags = _engines.gf_replay_batch(model, 256, 4, 1, tol_q, tol_mu, n_max)
+    assert values.tobytes() == ref_values.tobytes() and flags.tobytes() == ref_flags.tobytes()
+
+
 def test_gf_two_point_values_pinned():
     """Pinned two-point outputs (stream use and replay arithmetic); they
     may change only with an announced change of stream use."""
@@ -654,6 +713,42 @@ def test_replay_and_draw_transients_stay_small(name):
     assert draw_peak <= 3 * env.nbytes
 
 
+def test_three_point_finite_step_allocates_nothing():
+    """A finite template on {0, 1, 2} steps in place: temporaries of a few
+    hundred kB per step made the finite replay several times slower."""
+    family = make_environment("finite", 0.05, 0.025).family
+    coefs = family.step_coefficients(family.law_params(np.linspace(0.9, 1.2, 16384)))
+    r, out = np.full((2, 16384), 0.1), np.empty((2, 16384))
+    family.survival_step(coefs, r, out)
+    tracemalloc.start()
+    try:
+        family.survival_step(coefs, r, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16384  # one temporary takes 262,144 bytes
+
+
+def test_u_only_replay_holds_less_than_the_pair():
+    """The u-only replay's transients stay within the replay's allowance
+    per lane beyond the storage budget, and below the pair's."""
+    model = make_environment("poisson", 0.05, 0.025)
+    family = model.family
+    table = family.step_coefficients(family.law_params(model.support_means()))
+    lanes, n = 4096, 1024
+    env = rng_stream(1, 0).packed_bits(lanes * n).reshape(lanes, n // 8)
+    _engines._survival_backward_pair(family, table, env[:1], n, slopes=True)  # first-use allocations
+    peaks = []
+    for slopes in (False, True):
+        tracemalloc.start()
+        try:
+            _engines._survival_backward_pair(family, table, env, n, slopes)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] and peaks[1] <= _REPLAY_BYTES_PER_LANE * lanes
+
+
 @pytest.mark.parametrize("noise, lanes, budget, n_max", [
     ("two_point", 333, 1 << 20, 3001),
     ("uniform", 100, 1 << 22, 2001),
@@ -746,6 +841,34 @@ def test_population_deterministic_given_seed():
     a = simulate_population(model, n_reps=5000, seed=77)
     b = simulate_population(model, n_reps=5000, seed=77)
     assert a == b
+
+
+def test_two_point_population_chances_match_per_lane_weights(monkeypatch):
+    """Under two-point noise each lane selects the binomial chances of its
+    support law, bitwise those computed from a per-lane weight row."""
+    model = make_environment("finite", 0.05, 0.025)
+    laws = [np.asarray(model.law_for_mean(m).weights) for m in model.support_means()]
+    means, seen = [], []
+    sample_means, offspring_sum = type(model).sample_means, _engines._offspring_sum_finite
+
+    def record_means(self, *args, **kwargs):
+        means.append(sample_means(self, *args, **kwargs))
+        return means[-1]
+
+    def record_chances(gen, fractions, z):
+        seen.append(fractions)
+        return offspring_sum(gen, fractions, z)
+
+    monkeypatch.setattr(type(model), "sample_means", record_means)
+    monkeypatch.setattr(_engines, "_offspring_sum_finite", record_chances)
+    _engines.population_batch(model, 500, 3, 0, 200, 10**6)
+    assert len(seen) == len(means) > 5
+    for m, fractions in zip(means, seen):
+        weights = np.where((m > 1.05)[:, None], laws[1], laws[0])
+        cum = np.cumsum(weights, axis=1)
+        for value, frac in zip((2, 1), fractions):
+            expected = np.clip(weights[:, value] / cum[:, value], 0.0, 1.0)
+            assert frac.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
