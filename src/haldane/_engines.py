@@ -77,20 +77,21 @@ class HorizonStorageError(RuntimeError):
 # Annuity sums: the LF survival kernel and the perpetuity series
 # ---------------------------------------------------------------------------
 
-def annuity_batch(n_lanes: int, n_max: int, advance, stop):
+def annuity_batch(n_lanes: int, n_max: int, advance, stop, value=None):
     """Run ``n_lanes`` annuity sums ``acc = sum_k c_k a_{k+1}``, each lane
     to its own stopping generation or to ``n_max``.
 
     Each lane carries the running sum ``acc`` (from 0) and the discount
     ``c`` (from 1).  Once per check interval, ``advance(acc, c, rows)``
     draws the interval's ``rows`` generations (``_CHECK_EVERY``, or those
-    left to ``n_max``) for the live lanes, applies them in place and
-    returns the sums one generation before the last (or None if ``stop``
-    does not read them).  ``stop(acc, c, prev)``, with ``prev`` those
-    sums, then returns (value, done) per live lane, so a lane runs at most
-    ``_CHECK_EVERY - 1`` generations past its first eligible stop.  Done
-    lanes retire with their value; lanes still live at ``n_max`` keep
-    theirs and are flagged.
+    left to ``n_max``) for the live lanes and returns ``(acc, c, prev)``:
+    the advanced arrays (in place or new) and ``prev``, which maps an index
+    array of lanes to their sums one generation before the last (None if
+    ``stop`` does not read them).  ``stop(acc, c, prev)`` then returns the
+    done mask of the live lanes, so a lane runs at most ``_CHECK_EVERY -
+    1`` generations past its first eligible stop.  Done lanes retire with
+    ``value`` of their sum (the sum itself if ``value`` is None); lanes
+    still live at ``n_max`` take theirs too and are flagged.
 
     Returns (values, flagged mask) as arrays of length n_lanes.
     """
@@ -102,17 +103,18 @@ def annuity_batch(n_lanes: int, n_max: int, advance, stop):
     values = np.zeros(n_lanes)
     flagged = np.zeros(n_lanes, dtype=bool)
 
+    value = value or (lambda s: s)
     n = 0
     while idx.size and n < n_max:
         rows = min(_CHECK_EVERY, n_max - n)
-        prev = advance(acc, c, rows)
+        acc, c, prev = advance(acc, c, rows)
         n += rows
-        value, done = stop(acc, c, prev)
+        done = stop(acc, c, prev)
         if n == n_max:
-            values[idx] = value
+            values[idx] = value(acc)
             flagged[idx] = ~done
         elif done.any():
-            values[idx[done]] = value[done]
+            values[idx[done]] = value(acc[done])
             keep = ~done
             acc, c, idx = acc[keep], c[keep], idx[keep]
     return values, flagged
@@ -149,26 +151,25 @@ def byte_step(tables, draw, scratch: np.ndarray, with_prev: bool):
     :func:`annuity_byte_tables` pair ``tables``: ``draw(rows, lanes)``
     returns one byte per live lane whose bit j selects the pair of
     generation j, and the ``rows`` generations cost two table lookups per
-    lane whatever ``rows`` is, and a third ``with_prev``, when the advance
-    returns the sums one generation before the last (otherwise None).
-    ``scratch`` holds a float64 per lane."""
+    lane whatever ``rows`` is.  ``with_prev`` it writes new arrays, whose
+    ``prev`` looks the sums one generation before the last up from the
+    interval's starting arrays on the lanes asked for; otherwise it works
+    in place.  ``scratch`` holds a float64 per lane."""
     sums, products = tables
 
     def advance(acc, c, rows):
         block = draw(rows, c.size)
-        term = scratch[:c.size]
-        prev = None
-        if with_prev:
-            # byte indices never clip; "clip" lets take write into out unbuffered
-            sums[rows - 1].take(block, out=term, mode="clip")
-            prev = np.multiply(c, term)
-            prev += acc
-        sums[rows].take(block, out=term, mode="clip")
+        # byte indices never clip; "clip" lets take write into out unbuffered
+        term = sums[rows].take(block, out=scratch[:c.size], mode="clip")
         term *= c
+        if with_prev:
+            acc_new = acc + term
+            products[rows].take(block, out=term, mode="clip")
+            return acc_new, c * term, lambda lanes: c[lanes] * sums[rows - 1][block[lanes]] + acc[lanes]
         acc += term
         products[rows].take(block, out=term, mode="clip")
         c *= term
-        return prev
+        return acc, c, None
 
     return advance
 
@@ -190,9 +191,10 @@ def gf_lf_batch(
               = 1/mu_n + S_n/(1-p0) - (S_n - 1 + 1/mu_n) = 1 + kappa*S_n
     with S_n = sum_{k<n} 1/mu_k and kappa = p0/(1-p0): an annuity with
     A = 1 and B = 1/m, run by :func:`annuity_batch`.  A lane stops when
-    r_n is below the extinction floor, or once C = 1/mu_n < tol_mu when
-    the one-step increment r_{n-1} - r_n (formed on those lanes only) is
-    below tol_q.
+    r_n is below the extinction floor, tested as S_n >= the exact
+    threshold of :func:`_floor_threshold`, or once C = 1/mu_n < tol_mu
+    when the one-step increment r_{n-1} - r_n (formed on those lanes
+    only) is below tol_q; r_n is formed only for retiring lanes.
 
     Under two-point noise with nu > 0 each check interval is one
     ``sample_means`` draw of lane bytes, and a lane advances by the
@@ -208,14 +210,16 @@ def gf_lf_batch(
     stream = rng_stream(seed, stream_id)
     p0 = model.family.p0
     kappa = p0 / (1.0 - p0)
+    s_floor = _floor_threshold(kappa)
 
-    def stop(total, discount, prev_total):
-        r = 1.0 / (1.0 + kappa * total)
-        done = r < EXTINCTION_FLOOR
+    survival = lambda total: 1.0 / (1.0 + kappa * total)
+
+    def stop(total, discount, prev):
+        done = total >= s_floor
         near = np.flatnonzero(discount < tol_mu)
         if near.size:
-            done[near] |= 1.0 / (1.0 + kappa * prev_total[near]) - r[near] < tol_q
-        return r, done
+            done[near] |= survival(prev(near)) - survival(total[near]) < tol_q
+        return done
 
     if model.noise == TWO_POINT and model.nu > 0.0:
         m_lo, m_hi = model.mean_bounds()
@@ -224,7 +228,8 @@ def gf_lf_batch(
         def draw(rows, lanes):
             return model.sample_means(stream, rows * lanes, rows, packed=True)
 
-        return annuity_batch(n_lanes, n_max, byte_step(tables, draw, np.empty(n_lanes), with_prev=True), stop)
+        advance = byte_step(tables, draw, np.empty(n_lanes), with_prev=True)
+        return annuity_batch(n_lanes, n_max, advance, stop, survival)
 
     mean = 1.0 + model.epsilon if model.nu == 0.0 else None
 
@@ -234,9 +239,23 @@ def gf_lf_batch(
                 prev = total.copy()
             total += discount
             discount /= model.sample_means(stream, discount.size) if mean is None else mean
-        return prev
+        return total, discount, prev.__getitem__
 
-    return annuity_batch(n_lanes, n_max, advance, stop)
+    return annuity_batch(n_lanes, n_max, advance, stop, survival)
+
+
+@functools.lru_cache(maxsize=16)
+def _floor_threshold(kappa: float) -> float:
+    """The smallest double S with 1/(1 + kappa*S) < EXTINCTION_FLOOR, by
+    bisection over the bit patterns of the doubles in [0, inf], which
+    order as the doubles do; the rounded map is nonincreasing in S, so
+    the floor test on r is exactly S >= this (inf where kappa = 0)."""
+    double = lambda bits: np.array(bits, dtype=np.int64).view(np.float64).item()
+    lo, hi = 0, 0x7FF0000000000000
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if 1.0 / (1.0 + kappa * double(mid)) < EXTINCTION_FLOOR else (mid, hi)
+    return double(hi)
 
 
 # ---------------------------------------------------------------------------

@@ -426,14 +426,16 @@ class EnvironmentModel:
         return (primitive(m_hi) - primitive(m_lo)) / width
 
     def mean_expectation(self, transform) -> float:
-        """E[transform(mean)] over the noise law (quadrature for uniform)."""
+        """E[transform(mean)] over the noise law, for uniform noise by a
+        64-node Gauss–Legendre rule (exact to degree 127 in the mean)."""
         m_lo, m_hi = self.mean_bounds()
         if self.noise == TWO_POINT or m_lo == m_hi:
             return 0.5 * (transform(m_lo) + transform(m_hi))
-        from scipy import integrate
+        from numpy.polynomial.legendre import leggauss
 
-        value, _ = integrate.quad(transform, m_lo, m_hi, epsabs=1e-12, epsrel=1e-10, limit=200)
-        return value / (m_hi - m_lo)
+        nodes, weights = leggauss(64)
+        center, half = 0.5 * (m_lo + m_hi), 0.5 * (m_hi - m_lo)
+        return 0.5 * math.fsum(w * transform(float(center + half * x)) for x, w in zip(nodes, weights))
 
 
 def make_environment(

@@ -346,18 +346,36 @@ def limit_law(regime: PerpetuityRegime) -> DiracLimit | InverseGammaParams:
 # ---------------------------------------------------------------------------
 
 def contraction_rate(spec: PerpetuitySpec) -> tuple[float, float]:
-    """(u, theta) with E[B**u] = exp(-theta) < 1, by a bounded scalar
-    minimization of the fractional moment over u in (0, 1)."""
-    from scipy.optimize import minimize_scalar
-
-    result = minimize_scalar(
-        lambda u: spec.b_power_mean(u),
-        bounds=(1e-6, 1.0 - 1e-6),
-        method="bounded",
-        options={"xatol": 1e-10},
-    )
-    u = float(result.x)
-    value = float(result.fun)
+    """(u, theta) with E[B**u] = exp(-theta) < 1, minimizing the convex
+    fractional moment over u in [1e-6, 1 - 1e-6].  Where B takes at most
+    two values b_lo <= b_hi the minimizer is in closed form: the stationary
+    point log(-log b_lo / log b_hi) / log(b_hi / b_lo) where b_lo < 1 <
+    b_hi, clipped to the bounds, otherwise the bound that the monotone
+    moment falls toward.  Uniform noise takes a golden-section search
+    (Kiefer 1953) to a bracket of 1e-10 that returns the best point it
+    evaluated, the bounds included."""
+    lo, hi = 1e-6, 1.0 - 1e-6
+    model, law = spec.model, spec.b_law
+    if model is not None and model.noise == UNIFORM and model.nu > 0.0:
+        shrink, a, b = (math.sqrt(5.0) - 1.0) / 2.0, lo, hi
+        best = min((spec.b_power_mean(u), u) for u in (lo, hi))
+        while b - a > 1e-10:
+            c, d = b - shrink * (b - a), a + shrink * (b - a)
+            fc, fd = spec.b_power_mean(c), spec.b_power_mean(d)
+            best = min(best, (fc, c), (fd, d))
+            a, b = (a, d) if fc <= fd else (c, b)
+        value, u = best
+    else:
+        if model is not None:
+            b_lo, b_hi = (1.0 / m for m in reversed(model.mean_bounds()))
+        else:
+            b_lo, b_hi = (law.value, law.value) if isinstance(law, ConstantLaw) else (law.lo, law.hi)
+        if b_hi <= 1.0 or b_lo >= 1.0 or b_lo == 0.0:
+            u = hi if b_hi <= 1.0 else lo
+        else:
+            log_lo, log_hi = math.log(b_lo), math.log(b_hi)
+            u = min(hi, max(lo, math.log(-log_lo / log_hi) / (log_hi - log_lo)))
+        value = spec.b_power_mean(u)
     if value <= 0.0:
         return u, math.inf
     if value >= 1.0:
@@ -405,7 +423,7 @@ def sample_series_batch(
     term = np.empty(lanes)
 
     def stop(acc, c, prev):
-        return acc, c < c_tol
+        return c < c_tol
 
     tables = spec.byte_tables()
     if tables is not None:
@@ -421,6 +439,7 @@ def sample_series_batch(
             np.multiply(c, a, out=out)
             acc += out
             c *= b
+        return acc, c, None
 
     values, flags = annuity_batch(lanes, k_max, advance, stop)
     return (values, flags) if lanes == n else (np.repeat(values, n), np.repeat(flags, n))

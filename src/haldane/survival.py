@@ -200,7 +200,7 @@ def gw_fixed_point_survival(law: OffspringLaw) -> float:
     from the smallest fixed point of the generating function.
 
     Independent of the shape-function representation: solves
-    r = 1 - f(1 - r) by bracketed root finding.
+    r = 1 - f(1 - r) by bisection of [1e-14, 1] down to adjacent doubles.
     """
     if law.mean() <= 1.0:
         return 0.0
@@ -208,14 +208,14 @@ def gw_fixed_point_survival(law: OffspringLaw) -> float:
     def gap(r: float) -> float:
         return law.survival_map(r) - r
 
-    lo = 1e-14
+    lo, hi = 1e-14, 1.0
     if gap(lo) <= 0.0:
         return 0.0
-    if gap(1.0) >= 0.0:
+    if gap(hi) >= 0.0:
         return 1.0
-    from scipy.optimize import brentq
-
-    return float(brentq(gap, lo, 1.0, xtol=1e-15, rtol=8.9e-16))
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if gap(mid) > 0.0 else (lo, mid)
+    return lo
 
 
 # ---------------------------------------------------------------------------

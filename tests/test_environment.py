@@ -173,6 +173,20 @@ def test_uniform_moments_match_quadrature():
     assert model.log_moment() == pytest.approx(oracle_log / (hi - lo), rel=1e-9)
 
 
+@pytest.mark.parametrize("family, eps, nu", [
+    ("linear_fractional", 0.02, 0.02), ("linear_fractional", 0.05, 0.025), ("poisson", 0.02, 0.02),
+    ("finite", 0.05, 0.05), ("finite", 0.02, 0.01),
+])
+def test_uniform_mean_expectation_matches_quad(family, eps, nu):
+    # the Gauss-Legendre average that gives a perpetuity's alpha, against
+    # adaptive quadrature of the same shape function
+    model = make_environment(family, eps, nu, noise="uniform")
+    lo, hi = model.mean_bounds()
+    for transform in (lambda m: model.law_for_mean(m).shape_at_one(), lambda m: m ** -1.5, math.log):
+        oracle, _ = integrate.quad(transform, lo, hi, epsabs=1e-14, epsrel=1e-14, limit=200)
+        assert model.mean_expectation(transform) == pytest.approx(oracle / (hi - lo), rel=1e-13)
+
+
 def test_analytic_moments_match_sampling():
     n = 200_000
     for noise in ("two_point", "uniform"):

@@ -292,6 +292,59 @@ def test_limit_law_region_error():
 
 
 # ---------------------------------------------------------------------------
+# Contraction rate
+# ---------------------------------------------------------------------------
+
+_RATE_SPECS = {
+    "poisson-two-point": lambda: from_environment(make_environment("poisson", 0.02, 0.02)),
+    "lf-two-point": lambda: from_environment(make_environment("linear_fractional", 0.05, 0.1)),
+    "poisson-uniform": lambda: from_environment(make_environment("poisson", 0.02, 0.02, noise="uniform")),
+    "finite-uniform": lambda: from_environment(make_environment("finite", 0.05, 0.05, noise="uniform")),
+    "scalar-two-point": lambda: PerpetuitySpec(a_law=TwoPointLaw(0.2, 0.8), b_law=TwoPointLaw(0.9, 1.05)),
+    "scalar-two-point-zero": lambda: PerpetuitySpec(a_law=TwoPointLaw(0.2, 0.8), b_law=TwoPointLaw(0.0, 1.5)),
+    "constant": lambda: PerpetuitySpec(a_law=ConstantLaw(1.0), b_law=ConstantLaw(0.5)),
+    "bound-rho-0.25": lambda: from_environment(make_environment("poisson", 0.02, 0.005)),
+    "bound-rho-0.25-uniform": lambda: from_environment(make_environment("poisson", 0.02, 0.005, noise="uniform")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RATE_SPECS))
+def test_contraction_rate_against_bounded_brent(name):
+    # the minimum is never above SciPy's bounded Brent's, which stops about
+    # sqrt(eps) u short of a bound where the minimum sits on it
+    from scipy.optimize import minimize_scalar
+
+    spec = _RATE_SPECS[name]()
+    oracle = minimize_scalar(spec.b_power_mean, bounds=(1e-6, 1.0 - 1e-6), method="bounded",
+                             options={"xatol": 1e-10})
+    u, theta = contraction_rate(spec)
+    assert 1e-6 <= u <= 1.0 - 1e-6
+    assert spec.b_power_mean(u) == math.exp(-theta)
+    assert spec.b_power_mean(u) <= oracle.fun * (1.0 + 1e-15)
+    if name.startswith(("bound", "scalar-two-point", "constant")):
+        assert u in (1e-6, 1.0 - 1e-6)
+    else:
+        assert u == pytest.approx(oracle.x, abs=1e-6)
+
+
+@pytest.mark.parametrize("eps, nu", [(0.02, 0.02), (0.05, 0.05), (0.01, 0.015), (0.001, 0.001)])
+def test_two_valued_contraction_rate_closed_form(eps, nu):
+    # E[m^-u] = (m_lo^-u + m_hi^-u)/2 is stationary where
+    # (m_hi/m_lo)^u = log m_hi / -log m_lo, inside (0, 1) at these rho >= 1
+    m_lo, m_hi = 1.0 + eps - math.sqrt(nu), 1.0 + eps + math.sqrt(nu)
+    u_star = math.log(math.log(m_hi) / -math.log(m_lo)) / (math.log(m_hi) - math.log(m_lo))
+    theta_star = -math.log(0.5 * (m_lo**-u_star + m_hi**-u_star))
+    u, theta = contraction_rate(from_environment(make_environment("poisson", eps, nu)))
+    assert u == pytest.approx(u_star, rel=1e-12)
+    assert theta == pytest.approx(theta_star, rel=1e-12)
+    lo, hi = 0.5, 1.8  # the same for a scalar two-point B
+    u_star = math.log(-math.log(lo) / math.log(hi)) / math.log(hi / lo)
+    u, theta = contraction_rate(PerpetuitySpec(a_law=ConstantLaw(1.0), b_law=TwoPointLaw(lo, hi)))
+    assert u == pytest.approx(u_star, rel=1e-12)
+    assert theta == pytest.approx(-math.log(0.5 * (lo**u_star + hi**u_star)), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
 # Samplers
 # ---------------------------------------------------------------------------
 

@@ -173,6 +173,17 @@ def test_gw_fixed_point_against_transcendental_root():
     assert gw_fixed_point_survival(FinitePmf((0.0, 0.0, 1.0))) == 1.0
 
 
+@pytest.mark.parametrize("family", ["poisson", "linear_fractional", "finite"])
+def test_gw_fixed_point_against_brentq(family):
+    # bisection to adjacent doubles against Brent's bracketed root of the
+    # same gap, from just above criticality to mean 3
+    fam = make_environment(family, 0.0, 0.0, template=(0.2, 0.2, 0.2, 0.2, 0.2)).family
+    for mean in (1.0 + 1e-4, 1.001, 1.01, 1.05, 1.2, 1.5, 2.0, 3.0):
+        law = fam.law_for_mean(mean)
+        oracle = brentq(lambda r: law.survival_map(r) - r, 1e-14, 1.0, xtol=1e-15, rtol=8.9e-16)
+        assert abs(gw_fixed_point_survival(law) - oracle) <= 2e-15
+
+
 def test_gw_fixed_point_poisson_expansion():
     # pi(1+eps)/(2 eps) = 1 - (4/3) eps + (14/9) eps^2 + O(eps^3), the
     # approach to 1 that A1 checks; the cubic term is about -1.7 eps^3
@@ -329,13 +340,14 @@ def test_lf_kernel_matches_moebius_oracle_per_path(eps, rho, n_max, tol_q, some_
 
 @pytest.mark.parametrize("noise", ["two_point", "uniform"])
 def test_lf_stop_matches_the_full_width_rule(monkeypatch, noise):
-    # the stop forms the increment only on lanes below tol_mu; (value, done)
-    # must be bitwise those of the rule evaluated on every lane, with lanes
-    # on both sides of tol_mu, of tol_q and of the extinction floor
+    # the stop forms the increment only on lanes below tol_mu and tests the
+    # floor on the sum; its done mask and the value map must be bitwise the
+    # rule evaluated on every lane, with lanes on both sides of tol_mu, of
+    # tol_q and of the extinction floor
     model = make_environment("linear_fractional", epsilon=0.05, nu=0.025, noise=noise)
     kappa, tol_q, tol_mu = 0.3 / 0.7, 1e-8, 1e-6
-    monkeypatch.setattr(_engines, "annuity_batch", lambda n_lanes, n_max, advance, stop: stop)
-    stop = _engines.gf_lf_batch(model, 1, 1, 0, tol_q, tol_mu, 100)
+    monkeypatch.setattr(_engines, "annuity_batch", lambda n_lanes, n_max, advance, stop, value: (stop, value))
+    stop, value = _engines.gf_lf_batch(model, 1, 1, 0, tol_q, tol_mu, 100)
     gen = np.random.default_rng(21)
     n = 4096
     total = 10.0 ** gen.uniform(0.0, 17.0, n)
@@ -344,10 +356,23 @@ def test_lf_stop_matches_the_full_width_rule(monkeypatch, noise):
     prev_r = 1.0 / (1.0 + kappa * prev_total)
     for discount in (10.0 ** gen.uniform(-9.0, -3.0, n), np.full(n, 1e-3), np.full(n, 1e-9)):
         done = (r < _engines.EXTINCTION_FLOOR) | ((prev_r - r < tol_q) & (discount < tol_mu))
-        value, stopped = stop(total, discount, prev_total)
-        assert np.array_equal(value, r) and np.array_equal(stopped, done)
+        stopped = stop(total, discount, prev_total.__getitem__)
+        assert np.array_equal(value(total), r) and np.array_equal(stopped, done)
     assert 0 < np.count_nonzero(r < _engines.EXTINCTION_FLOOR) < n
     assert 0 < np.count_nonzero(prev_r - r < tol_q) < n
+
+
+@pytest.mark.parametrize("p0", [0.1, 0.3, 0.6])
+def test_lf_floor_threshold_is_exact(p0):
+    # the stop tests the floor as S >= threshold; the double below it must
+    # keep r at or above the floor and the threshold itself take r below,
+    # evaluated as the kernel evaluates r
+    kappa = p0 / (1.0 - p0)
+    threshold = _engines._floor_threshold(kappa)
+    s = np.array([np.nextafter(threshold, 0.0), threshold])
+    r = 1.0 / (1.0 + kappa * s)
+    assert r[0] >= _engines.EXTINCTION_FLOOR > r[1]
+    assert threshold == pytest.approx((1.0 / _engines.EXTINCTION_FLOOR - 1.0) / kappa, rel=1e-12)
 
 
 def _lf_one_generation_per_draw(model, n_lanes, stream, tol_q, tol_mu, n_max):
