@@ -77,7 +77,7 @@ class HorizonStorageError(RuntimeError):
 # Annuity sums: the LF survival kernel and the perpetuity series
 # ---------------------------------------------------------------------------
 
-def annuity_batch(n_lanes: int, n_max: int, advance, stop, value=None):
+def annuity_batch(n_lanes: int, n_max: int, advance, stop):
     """Run ``n_lanes`` annuity sums ``acc = sum_k c_k a_{k+1}``, each lane
     to its own stopping generation or to ``n_max``.
 
@@ -90,8 +90,7 @@ def annuity_batch(n_lanes: int, n_max: int, advance, stop, value=None):
     ``stop`` does not read them).  ``stop(acc, c, prev)`` then returns the
     done mask of the live lanes, so a lane runs at most ``_CHECK_EVERY -
     1`` generations past its first eligible stop.  Done lanes retire with
-    ``value`` of their sum (the sum itself if ``value`` is None); lanes
-    still live at ``n_max`` take theirs too and are flagged.
+    their sum; lanes still live at ``n_max`` keep theirs and are flagged.
 
     Returns (values, flagged mask) as arrays of length n_lanes.
     """
@@ -103,7 +102,6 @@ def annuity_batch(n_lanes: int, n_max: int, advance, stop, value=None):
     values = np.zeros(n_lanes)
     flagged = np.zeros(n_lanes, dtype=bool)
 
-    value = value or (lambda s: s)
     n = 0
     while idx.size and n < n_max:
         rows = min(_CHECK_EVERY, n_max - n)
@@ -111,10 +109,10 @@ def annuity_batch(n_lanes: int, n_max: int, advance, stop, value=None):
         n += rows
         done = stop(acc, c, prev)
         if n == n_max:
-            values[idx] = value(acc)
+            values[idx] = acc
             flagged[idx] = ~done
         elif done.any():
-            values[idx[done]] = value(acc[done])
+            values[idx[done]] = acc[done]
             keep = ~done
             acc, c, idx = acc[keep], c[keep], idx[keep]
     return values, flagged
@@ -194,7 +192,7 @@ def gf_lf_batch(
     r_n is below the extinction floor, tested as S_n >= the exact
     threshold of :func:`_floor_threshold`, or once C = 1/mu_n < tol_mu
     when the one-step increment r_{n-1} - r_n (formed on those lanes
-    only) is below tol_q; r_n is formed only for retiring lanes.
+    only) is below tol_q; r_n is formed once, from the final sums.
 
     Under two-point noise with nu > 0 each check interval is one
     ``sample_means`` draw of lane bytes, and a lane advances by the
@@ -229,7 +227,8 @@ def gf_lf_batch(
             return model.sample_means(stream, rows * lanes, rows, packed=True)
 
         advance = byte_step(tables, draw, np.empty(n_lanes), with_prev=True)
-        return annuity_batch(n_lanes, n_max, advance, stop, survival)
+        values, flags = annuity_batch(n_lanes, n_max, advance, stop)
+        return survival(values), flags
 
     mean = 1.0 + model.epsilon if model.nu == 0.0 else None
 
@@ -241,7 +240,8 @@ def gf_lf_batch(
             discount /= model.sample_means(stream, discount.size) if mean is None else mean
         return total, discount, prev.__getitem__
 
-    return annuity_batch(n_lanes, n_max, advance, stop, survival)
+    values, flags = annuity_batch(n_lanes, n_max, advance, stop)
+    return survival(values), flags
 
 
 @functools.lru_cache(maxsize=16)

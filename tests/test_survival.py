@@ -341,23 +341,30 @@ def test_lf_kernel_matches_moebius_oracle_per_path(eps, rho, n_max, tol_q, some_
 @pytest.mark.parametrize("noise", ["two_point", "uniform"])
 def test_lf_stop_matches_the_full_width_rule(monkeypatch, noise):
     # the stop forms the increment only on lanes below tol_mu and tests the
-    # floor on the sum; its done mask and the value map must be bitwise the
-    # rule evaluated on every lane, with lanes on both sides of tol_mu, of
-    # tol_q and of the extinction floor
+    # floor on the sum; its done mask and the survival of the sums must be
+    # bitwise the rule evaluated on every lane, with lanes on both sides of
+    # tol_mu, of tol_q and of the extinction floor
     model = make_environment("linear_fractional", epsilon=0.05, nu=0.025, noise=noise)
     kappa, tol_q, tol_mu = 0.3 / 0.7, 1e-8, 1e-6
-    monkeypatch.setattr(_engines, "annuity_batch", lambda n_lanes, n_max, advance, stop, value: (stop, value))
-    stop, value = _engines.gf_lf_batch(model, 1, 1, 0, tol_q, tol_mu, 100)
     gen = np.random.default_rng(21)
     n = 4096
     total = 10.0 ** gen.uniform(0.0, 17.0, n)
+    stops = []
+
+    def capture(n_lanes, n_max, advance, stop):
+        stops.append(stop)
+        return total, None
+
+    monkeypatch.setattr(_engines, "annuity_batch", capture)
+    survival, _ = _engines.gf_lf_batch(model, 1, 1, 0, tol_q, tol_mu, 100)
+    stop, = stops
     prev_total = total - 10.0 ** gen.uniform(-12.0, 0.0, n) * total
     r = 1.0 / (1.0 + kappa * total)
     prev_r = 1.0 / (1.0 + kappa * prev_total)
     for discount in (10.0 ** gen.uniform(-9.0, -3.0, n), np.full(n, 1e-3), np.full(n, 1e-9)):
         done = (r < _engines.EXTINCTION_FLOOR) | ((prev_r - r < tol_q) & (discount < tol_mu))
         stopped = stop(total, discount, prev_total.__getitem__)
-        assert np.array_equal(value(total), r) and np.array_equal(stopped, done)
+        assert np.array_equal(survival, r) and np.array_equal(stopped, done)
     assert 0 < np.count_nonzero(r < _engines.EXTINCTION_FLOOR) < n
     assert 0 < np.count_nonzero(prev_r - r < tol_q) < n
 
