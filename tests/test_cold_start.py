@@ -1,8 +1,8 @@
-"""Cold start: importing the package, running the two-point estimators and
-drawing perpetuity series load numpy only, and a perpetuity limit fit loads
-``scipy.special`` alone.  SciPy is imported inside the few functions that
-use it, so each case runs in a fresh interpreter and inspects
-``sys.modules``."""
+"""Cold start: importing the package, running the two-point estimators,
+drawing perpetuity series and fitting their limit laws load numpy only.
+SciPy is imported inside the one check that uses it (the pdf-mass
+quadrature of ``haldane verify``), so each case runs in a fresh interpreter
+and inspects ``sys.modules``."""
 
 import json
 import os
@@ -74,25 +74,27 @@ def test_two_point_runs_load_no_scipy(tmp_path):
     assert loaded == {"cli survival": [], "gf poisson": [], "population": []}
 
 
-def test_scipy_backed_calls_still_load_it():
-    """Positive control: the lazily imported ``scipy.special`` still runs
-    in a fresh process and returns the values it returned with
-    module-level imports, and the contraction rate, which SciPy's bounded
-    minimizer used to give, loads no ``scipy.optimize``; its u is the exact
-    minimizer (SciPy's stopped 5e-8 short of it)."""
-    out = _run_fresh("""
+def test_numerics_calls_load_no_scipy():
+    """The incomplete gamma, the Laplace transform and the contraction rate,
+    which SciPy's ``gammaincc``, ``kve`` and bounded minimizer used to give,
+    run in a fresh process without loading any SciPy module and return the
+    values SciPy gave (the contraction rate's u is the exact minimizer;
+    SciPy's stopped 5e-8 short of it)."""
+    out = _run_fresh(f"""
         import json, sys
-        from haldane import from_environment, make_environment, upper_reg_gamma
+        from haldane import InverseGammaParams, from_environment, invgamma_laplace, make_environment, upper_reg_gamma
         from haldane.perpetuity import contraction_rate
         rate = contraction_rate(from_environment(make_environment("poisson", epsilon=0.02, nu=0.02)))
         q = [float(upper_reg_gamma(2.5, 1.3)), float(upper_reg_gamma(0.5, 30.0))]
-        print(json.dumps({"rate": rate, "q": q, "optimize": "scipy.optimize" in sys.modules,
-                          "special": "scipy.special" in sys.modules}))
+        h = invgamma_laplace(InverseGammaParams(2.0, 1.0), 1.0)
+        print(json.dumps({{"rate": rate, "q": q, "h": h, "scipy": {_SCIPY_LOADED}}}))
     """)
-    assert out["special"] and not out["optimize"]
+    assert out["scipy"] == []
     assert out["rate"][0] == pytest.approx(0.5194274864284497, rel=1e-12)
     assert out["rate"][1] == pytest.approx(0.002620127543281829, rel=1e-9)
     assert out["q"] == pytest.approx([0.761365267845014, 9.485737571073857e-15], rel=1e-13)
+    # 2 (b lam)**(a/2) K_a(2 sqrt(b lam)) / Gamma(a) at a = 2, b lam = 1: 2 K_2(2)
+    assert out["h"] == pytest.approx(0.5075195091321117, rel=1e-13)
 
 
 PERPETUITY_CONFIGS = {
@@ -101,7 +103,6 @@ PERPETUITY_CONFIGS = {
                         "b_lo = 0.9\nb_hi = 1.05\nn_samples = 2000\n",
     "finite-uniform": "family = finite\nnoise = uniform\nrho = 1\nepsilon = 0.05\nn_samples = 1000\n",
 }
-_HEAVY_SCIPY = ("scipy.optimize", "scipy.integrate", "scipy.sparse", "scipy.linalg")
 
 
 def test_series_and_fixed_point_load_no_scipy():
@@ -126,24 +127,23 @@ def test_series_and_fixed_point_load_no_scipy():
 
 
 @pytest.mark.parametrize("name", sorted(PERPETUITY_CONFIGS))
-def test_perpetuity_runs_load_only_scipy_special(tmp_path, name):
-    """A limit fit needs ``scipy.special`` for the incomplete gamma, and
-    nothing of SciPy's optimizers, quadrature or linear algebra."""
+def test_perpetuity_runs_load_no_scipy(tmp_path, name):
+    """A limit fit (its inverse-gamma CDF and KS distance), an annuity
+    residual and a ``haldane perpetuity`` run load no SciPy module."""
     cfg = tmp_path / "perpetuity.cfg"
     cfg.write_text(PERPETUITY_CONFIGS[name])
     loaded = _run_fresh(f"""
         import contextlib, io, json, sys
         from haldane import cli, rng_stream
         from haldane.perpetuity import PerpetuitySpec, TwoPointLaw, annuity_residual, limit_fit_test
-        heavy = lambda: sorted(m for m in sys.modules if m.startswith({_HEAVY_SCIPY!r}))
         loaded = {{}}
         spec = PerpetuitySpec(a_law=TwoPointLaw(0.2, 0.8), b_law=TwoPointLaw(0.9, 1.05))
-        limit_fit_test(spec, 2000, rng_stream(1, 0))
+        assert limit_fit_test(spec, 2000, rng_stream(1, 0)).ks_distance is not None
         annuity_residual(spec, 1000, rng_stream(1, 1))
-        loaded["library"] = heavy()
+        loaded["library"] = {_SCIPY_LOADED}
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["perpetuity", "--config", {str(cfg)!r}, "--seed", "1", "--out", "-"]) == 0
-        loaded["cli"] = heavy()
+        loaded["cli"] = {_SCIPY_LOADED}
         print(json.dumps(loaded))
     """)
     assert loaded == {"library": [], "cli": []}

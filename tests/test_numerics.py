@@ -1,14 +1,16 @@
-"""Numerics tests with independent oracles: closed forms and a local erfc
-series for the incomplete gamma family (itself scipy.special's), scipy.stats
-for the inverse gamma law, quadrature and Monte Carlo for the Laplace
-transform (itself a Bessel closed form), and scipy.stats for the KS
-statistics."""
+"""Numerics tests with independent oracles: scipy.special, closed forms and
+a local erfc series for the numpy incomplete gamma family (power series and
+continued fraction), scipy.stats for the inverse gamma law, scipy.special's
+``kve``, quadrature and Monte Carlo for the Laplace transform (a Bessel
+closed form evaluated by the trapezoid rule), and scipy.stats for the KS
+statistics.  SciPy is only an oracle here: the library's run paths load
+none of it."""
 
 import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from haldane import (
     InverseGammaParams,
@@ -73,6 +75,54 @@ def test_gamma_complementarity():
             assert lower_reg_gamma(a, x) + upper_reg_gamma(a, x) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("a", np.geomspace(0.05, 100.0, 25).tolist() + [1.02, 1.04, 7.38])
+def test_incomplete_gamma_matches_scipy(a):
+    """P and Q within 1e-13 of scipy.special's relative to the value, plus
+    one unit in the last place of its logarithm: a value near e**-600 is
+    exp of an argument whose last bit is worth 1.1e-13, and there SciPy's
+    own error reaches 1.35e-13.  Points where SciPy's value is below
+    1e-290 are skipped."""
+    x = np.concatenate([np.geomspace(1e-8, 700.0, 400), a * np.linspace(0.5, 2.0, 61), a + np.linspace(0.9, 1.1, 21)])
+    for ours, theirs in ((lower_reg_gamma(a, x), special.gammainc(a, x)), (upper_reg_gamma(a, x), special.gammaincc(a, x))):
+        kept = theirs > 1e-290
+        rtol = 1e-13 + np.abs(np.log(theirs[kept])) * 2.0**-52
+        assert np.all(np.abs(ours[kept] - theirs[kept]) <= rtol * theirs[kept])
+
+
+def test_incomplete_gamma_edges_and_broadcasting():
+    """x = 0, x = inf and subnormal x give the limits without a
+    RuntimeWarning (which the test configuration makes an error), and an
+    array of shapes broadcasts against an array of arguments."""
+    x = np.array([0.0, np.inf, 5e-324, 1e-310, 1e-300])
+    for a in (0.05, 1.02, 7.38, 60.0):
+        p, q = lower_reg_gamma(a, x), upper_reg_gamma(a, x)
+        assert p[:2].tolist() == [0.0, 1.0] and q[:2].tolist() == [1.0, 0.0]
+        # below x = 1e-300 the series is its first term, x**a / Gamma(a + 1)
+        first = [math.exp(a * math.log(v) - math.lgamma(a + 1.0)) for v in x[2:]]
+        assert p[2:] == pytest.approx(first, rel=1e-13, abs=1e-320)
+        assert q[2:] == pytest.approx(1.0 - p[2:], rel=1e-15)
+    a = np.array([[0.5], [2.0], [30.0]])
+    x = np.array([0.0, 0.3, 3.0, 40.0, np.inf])
+    q = upper_reg_gamma(a, x)
+    assert q.shape == (3, 5)
+    assert np.allclose(q, special.gammaincc(a, x), rtol=1e-13, atol=0.0)
+    assert isinstance(upper_reg_gamma(2.5, 1.3), np.floating)
+    assert upper_reg_gamma(1.0, np.array([])).shape == (0,)
+
+
+def test_incomplete_gamma_lanes_are_independent():
+    """Each lane retires on its own test, so a value is bitwise the same
+    alone, in a batch and under any permutation of the batch."""
+    rng = np.random.default_rng(30)
+    for a in (0.3, 1.02, 7.38, 45.0):
+        x = np.concatenate([rng.gamma(a, 1.0, 300), np.geomspace(1e-6, 600.0, 100)])
+        order = rng.permutation(x.size)
+        for fn in (lower_reg_gamma, upper_reg_gamma):
+            batch = fn(a, x)
+            assert np.array_equal(batch, [fn(a, v) for v in x])
+            assert np.array_equal(batch[order], fn(a, x[order]))
+
+
 # ---------------------------------------------------------------------------
 # Inverse gamma distribution
 # ---------------------------------------------------------------------------
@@ -117,6 +167,9 @@ def test_invgamma_laplace_total_mass_and_monotone():
     params = InverseGammaParams(2.0, 1.0)
     assert invgamma_laplace(params, 0.0) == 1.0
     assert invgamma_laplace(params, 1.0) < invgamma_laplace(params, 0.5)
+    for lam in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            invgamma_laplace(params, lam)
 
 
 def _laplace_by_quadrature(a: float, b: float, lam: float) -> float:
@@ -143,6 +196,19 @@ def test_invgamma_laplace_against_bessel_and_mc():
     values = np.exp(-w)
     se = float(np.std(values, ddof=1)) / math.sqrt(values.size)
     assert invgamma_laplace(params, 1.0) == pytest.approx(float(np.mean(values)), abs=5 * se)
+
+
+def test_invgamma_laplace_matches_kve():
+    """The trapezoid-rule transform against the closed form through
+    scipy.special.kve, to 1e-13, for shapes 0.5-10 and z = 2 sqrt(b lam)
+    from 1e-3 to 200."""
+    for a in np.linspace(0.5, 10.0, 12):
+        for b in (0.5, 2.0):
+            for z in np.geomspace(1e-3, 200.0, 25):
+                lam = z * z / (4.0 * b)
+                closed = math.exp(math.log(2.0) + 0.5 * a * math.log(b * lam) + math.log(special.kve(a, z))
+                                  - z - math.lgamma(a))
+                assert invgamma_laplace(InverseGammaParams(a, b), lam) == pytest.approx(closed, rel=1e-13)
 
 
 def test_laplace_ode_residual_examples():
