@@ -15,9 +15,9 @@ environment runs one lane of its family's route):
   once per ``_CHECK_EVERY`` generations, then tests the stopping rule
   (LF forms its increment only below ``tol_mu``).  Under two-point noise
   an advance is a handful of numpy calls at any width (a raw read of
-  stream words, a three-call transpose to one byte per lane, two or three
-  :func:`annuity_byte_tables` lookups), otherwise one draw and step per
-  generation;
+  64-bit stream outputs whose byte i is lane i's, a cast to intp, two or
+  three :func:`annuity_byte_tables` lookups), otherwise one draw and step
+  per generation;
 * for every other family under either noise kind, a block-doubling
   backward replay over a stored environment matrix (packed stream bits
   under two-point noise, one law parameter per lane-generation under
@@ -200,8 +200,9 @@ def gf_lf_batch(
     C*T_prev[b]``, ``S += C*T_sum[b]``, ``C *= T_prod[b]``); otherwise
     each generation is one ``sample_means`` draw (none at nu = 0: every
     generation divides by the one mean 1 + eps), stepped as ``S += C;
-    C /= m``.  Both read the same stream words; the byte path rounds once
-    per interval.
+    C /= m``.  A lane-byte draw reads ``ceil(lanes / 8)`` 64-bit stream
+    outputs per interval, byte i for lane i, where a generation's draw
+    reads a stream bit per lane; the byte path rounds once per interval.
 
     Returns (survival values, flagged mask) as arrays of length n_lanes.
     """

@@ -376,9 +376,9 @@ class EnvironmentModel:
         32-bit stream words (:meth:`RandomStream.packed_bits`) and each
         byte expands to 8 means through one row of a 256-entry table.
         Only ``packed`` draws (two-point noise, ``nu > 0``, ``rows <= 8``)
-        take ``rows``: those of ``rows`` successive calls of width ``size
-        // rows`` come back as one byte per column whose bit j is set where
-        the j-th call gives the high mean (:meth:`RandomStream.lane_bytes`).
+        take ``rows``: the means of ``rows`` generations of ``size // rows``
+        lanes come back as one stream byte per lane whose bit j is set where
+        generation j has the high mean (:meth:`RandomStream.lane_bytes`).
         Uniform noise costs one uniform per mean; ``nu = 0`` reads no
         stream words.
         """

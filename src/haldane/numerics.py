@@ -313,13 +313,10 @@ def combine_batch_stats(batches, *, seed: int, n_flagged: int = 0, n_overrun: in
 
 _U64_MAX = 2**64 - 1
 
-# Row b holds the bits of byte b, low bit first; read as one uint64,
-# _SPREAD[b] holds bit k of b in byte k (memory order).  uint64 shift counts
-# keep old numpy casting rules from promoting lane_bytes' row shifts to float.
+# Row b holds the bits of byte b, low bit first: the flips that byte b of
+# packed_bits encodes, or the pairs that a lane byte b selects.
 BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
 BYTE_BITS.flags.writeable = False
-_SPREAD = BYTE_BITS.view(np.uint64).ravel()
-_ROW_SHIFTS = np.arange(8, dtype=np.uint64)[:, None]
 
 
 @dataclass
@@ -390,18 +387,6 @@ class RandomStream:
         flips = np.unpackbits(self.packed_bits(count), count=count, bitorder="little")
         return flips.view(bool).reshape(shape)
 
-    def packed_rows(self, size: int, rows: int = 1) -> np.ndarray:
-        """Next ``size`` fair coin flips as ``rows`` rows of ``size // rows``:
-        a ``(rows, 4 * ceil(width / 32))`` byte array in :meth:`packed_bits`
-        order, each row padded to whole 32-bit words.
-
-        Row j holds exactly what the j-th of ``rows`` successive
-        ``packed_bits`` calls of that width would return: one draw of their
-        whole words, in row order, reads the stream as those calls do.
-        """
-        width = size // rows
-        return self.packed_bits(rows * 32 * -(-width // 32)).reshape(rows, -1)
-
     def two_point(self, octets: np.ndarray, size: int) -> np.ndarray:
         """Next ``size`` draws of a two-point law, one stream bit each:
         each byte of :meth:`packed_bits` selects a row of the
@@ -409,15 +394,20 @@ class RandomStream:
         return octet_values(octets, self.packed_bits(size), size)
 
     def lane_bytes(self, size: int, rows: int = 1) -> np.ndarray:
-        """The :meth:`packed_rows` flips of ``rows <= 8`` rows of
-        ``size // rows`` read down the rows instead of along them: an intp
-        array with one byte per column, whose bit j is that column's flip
-        in row j (the bits from ``rows`` on are clear).  Each drawn byte
-        spreads into its 8 columns' bytes, shifted by its row, OR-ed down.
+        """Next fair coin flips for ``rows <= 8`` rows of ``width = size //
+        rows`` lanes, read lane-major: an intp array of one byte per lane
+        whose bit j is the lane's flip in row j.
+
+        Lane i's byte is byte i of ``ceil(width / 8)`` whole 64-bit stream
+        outputs (:meth:`packed_bits` of ``64 * ceil(width / 8)`` flips, raw
+        outputs while no 32-bit half is buffered), so no transpose is
+        needed.  The bits from ``rows`` on, drawn but unused, are cleared.
         """
-        spread = _SPREAD.take(self.packed_rows(size, rows))
-        spread <<= _ROW_SHIFTS[:rows]
-        return np.bitwise_or.reduce(spread, axis=0).view(np.uint8)[:size // rows].astype(np.intp)
+        width = size // rows
+        block = self.packed_bits(64 * -(-width // 8))[:width].astype(np.intp)
+        if rows < 8:
+            block &= (1 << rows) - 1
+        return block
 
 
 def octet_values(octets: np.ndarray, packed: np.ndarray, size: int) -> np.ndarray:

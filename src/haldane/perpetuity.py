@@ -231,9 +231,9 @@ class PerpetuitySpec:
         pair from two cached octet tables, with no means in between; an A
         that is equal at both means (Poisson) is broadcast.  Only
         ``packed`` draws (two-point noise with ``nu > 0``, ``rows <= 8``)
-        take ``rows``: those of ``rows`` successive calls of width ``size
-        // rows`` come back as one byte per column whose bit j selects the
-        j-th call's pair (:meth:`RandomStream.lane_bytes`), for
+        take ``rows``: the pairs of ``rows`` terms of ``size // rows`` lanes
+        come back as one stream byte per lane whose bit j selects the pair
+        of term j (:meth:`RandomStream.lane_bytes`), for
         :meth:`byte_tables`.  Uniform noise and a degenerate environment
         map drawn means; scalar laws draw A, then B.
         """
@@ -409,9 +409,11 @@ def sample_series_batch(
     tables) each check interval is one ``sample_pairs`` draw of lane
     bytes, and a lane advances by the whole interval as ``acc +=
     c*T_sum[b]; c *= T_prod[b]``, rounding once per interval; otherwise
-    each term is one ``sample_pairs`` draw.  Both read the same stream
-    words.  A constant spec runs one lane and repeats it: every lane would
-    do the same arithmetic, and its pairs read no stream words.
+    each term is one ``sample_pairs`` draw.  A lane-byte draw reads
+    ``ceil(lanes / 8)`` 64-bit stream outputs per interval, where a term's
+    draw reads a stream bit per lane.  A constant spec runs one lane and
+    repeats it: every lane would do the same arithmetic, and its pairs read
+    no stream words.
     """
     if not (0.0 < tol < math.inf):
         raise ValueError(f"tol must lie in (0, inf), got {tol}")

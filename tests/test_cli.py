@@ -78,7 +78,7 @@ def test_lf_sweep_csv_body_pinned(tmp_path):
     out = tmp_path / "lf.csv"
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
     digest = hashlib.sha256("\n".join(_body(out)).encode()).hexdigest()
-    assert digest == "4d3b2a33d612234b6d19da0dc01ce8e7c9906f94bc7409e63aefb88a3fd567d7"
+    assert digest == "bbfdd891f8491b7709f7cd4246c744758c09184a234744511036aa88d489d1b3"
 
 
 LF_NU_CONFIG = """
@@ -99,7 +99,7 @@ def test_lf_survival_nu_form_body_pinned(tmp_path):
     out = tmp_path / "lf_nu.csv"
     assert main(["survival", "--config", cfg, "--out", str(out)]) == 0
     digest = hashlib.sha256("\n".join(_body(out)).encode()).hexdigest()
-    assert digest == "2d75a2b9d6695cca81c665d7777881ae1002c70b3efdb7847939c3052d78059c"
+    assert digest == "44a12dc370af1756ea19a3a57fc771dd72c0d7ba96b6c8679aef184df01471d8"
 
 
 def test_survival_json_mirror(tmp_path):

@@ -67,18 +67,20 @@ def test_two_point_sample_means_exact_bounds():
 
 @pytest.mark.parametrize("rows", range(1, 9))
 def test_packed_means_are_the_draws_transposed(rows):
-    # bit j of a lane's byte is set exactly where the j-th of ``rows``
-    # successive float draws holds the high mean, no bit from ``rows`` on
-    # is set, and the stream reads on as after the float draws
+    # the stream bytes are read lane-major: bit j of lane i's byte is set
+    # exactly where float draw 8i + j of the same stream words (a twin's
+    # draws of 8 means per lane, reshaped to (lanes, 8)) holds the high
+    # mean, no bit from ``rows`` on is set, and the stream reads on as
+    # after the float draws
     model = make_environment("linear_fractional", epsilon=0.05, nu=0.02)
     lo, hi = model.mean_bounds()
     for lanes in (1, 7, 31, 32, 33, 4097):
         rng, twin = rng_stream(15, lanes), rng_stream(15, lanes)
         lane_bytes = model.sample_means(rng, rows * lanes, rows, packed=True)
-        means = np.stack([model.sample_means(twin, lanes) for _ in range(rows)])
+        means = model.sample_means(twin, 64 * -(-lanes // 8)).reshape(-1, 8)[:lanes, :rows]
         assert lane_bytes.dtype == np.intp and lane_bytes.shape == (lanes,)
         assert np.all(lane_bytes >> rows == 0)
-        decoded = np.where((lane_bytes >> np.arange(rows)[:, None]) & 1 == 1, hi, lo)
+        decoded = np.where((lane_bytes[:, None] >> np.arange(rows)) & 1 == 1, hi, lo)
         assert np.array_equal(decoded, means)
         next_words = (r.generator.integers(0, 2**32, 4, dtype=np.uint32) for r in (rng, twin))
         assert np.array_equal(*next_words)

@@ -365,10 +365,11 @@ def _twin_words(twin, count):
     return twin.integers(0, 2**32, -(-count // 32), dtype=np.uint32).astype("<u4").view(np.uint8)
 
 
-def _lane_bytes_oracle(packed_rows, width):
-    """Column c's byte holds bit c of row j in its bit j: unpack, weigh, sum."""
-    flips = np.unpackbits(packed_rows, axis=1, bitorder="little")[:, :width].astype(np.intp)
-    return (flips << np.arange(len(packed_rows))[:, None]).sum(axis=0)
+def _lane_bytes_oracle(raw_bytes, width, rows):
+    """Lane i's byte holds bit j of stream byte i in its bit j for j <
+    ``rows``: unpack the stream bytes lane-major, weigh, sum."""
+    flips = np.unpackbits(raw_bytes, bitorder="little").reshape(-1, 8)[:width, :rows].astype(np.intp)
+    return (flips << np.arange(rows)).sum(axis=1)
 
 
 @pytest.mark.parametrize("seed", [0, 2**63 + 5])
@@ -384,12 +385,8 @@ def test_stream_draws_match_an_integers_twin(seed):
         flips = np.unpackbits(_twin_words(twin, count), count=count, bitorder="little").view(bool)
         assert np.array_equal(stream.bits(count), flips)
         for rows, width in ((8, count), (3, count), (1, count + 1)):
-            words = rows * -(-width // 32)
-            expected = _twin_words(twin, 32 * words).reshape(rows, -1)
-            if (width + rows) % 2:
-                assert np.array_equal(stream.packed_rows(rows * width, rows), expected)
-            else:
-                assert np.array_equal(stream.lane_bytes(rows * width, rows), _lane_bytes_oracle(expected, width))
+            expected = _lane_bytes_oracle(_twin_words(twin, 64 * -(-width // 8)), width, rows)
+            assert np.array_equal(stream.lane_bytes(rows * width, rows), expected)
         assert stream._half == bool(twin.bit_generator.state["has_uint32"])
     # once the generator is handed out its 32-bit consumers may leave a
     # half buffered, and the stream draws through integers from then on
@@ -403,14 +400,39 @@ def test_stream_draws_match_an_integers_twin(seed):
     assert repr(stream.generator.bit_generator.state) == repr(twin.bit_generator.state)
 
 
+def _raw_twin(stream):
+    """An independent bit generator on the stream's key, read raw."""
+    return np.random.Philox(key=(stream.stream_id << 64) | stream.master_seed)
+
+
 @pytest.mark.parametrize("rows", range(1, 9))
 def test_lane_bytes_match_an_unpackbits_oracle(rows):
     for width in (1, 7, 31, 32, 33, 297, 4097, 16385):
-        stream, twin = rng_stream(12, width), rng_stream(12, width)
+        stream = rng_stream(12, width)
+        twin = _raw_twin(stream)
         lane_bytes = stream.lane_bytes(rows * width, rows)
         assert lane_bytes.dtype == np.intp and lane_bytes.shape == (width,)
-        assert np.array_equal(lane_bytes, _lane_bytes_oracle(twin.packed_rows(rows * width, rows), width))
-        assert stream.generator.integers(0, 2**32) == twin.generator.integers(0, 2**32)
+        raw = twin.random_raw(-(-width // 8)).astype("<u8").view(np.uint8)
+        assert np.array_equal(lane_bytes, _lane_bytes_oracle(raw, width, rows))
+        next_words = stream.generator.integers(0, 2**32, 4, dtype=np.uint32)
+        assert np.array_equal(next_words, np.random.Generator(twin).integers(0, 2**32, 4, dtype=np.uint32))
+
+
+@pytest.mark.parametrize("width", [1, 7, 8, 9, 297, 4097, 16385, 25000])
+def test_lane_bytes_read_whole_raw_outputs(width):
+    # a draw of any rows <= 8 reads exactly ceil(width / 8) 64-bit outputs
+    # and leaves no 32-bit half buffered, so the next block is raw too and
+    # none falls onto integers
+    for rows in range(1, 9):
+        stream = rng_stream(3, width)
+        twin = _raw_twin(stream)
+        for _ in range(2):
+            lane_bytes = stream.lane_bytes(rows * width, rows)
+            assert stream._half is False
+            assert lane_bytes.dtype == np.intp and lane_bytes.shape == (width,)
+            assert np.all(lane_bytes >> rows == 0)
+            twin.random_raw(-(-width // 8))
+            assert repr(stream._gen.bit_generator.state) == repr(twin.state)
 
 
 def test_two_point_octets_expand_every_byte():

@@ -163,7 +163,10 @@ def test_two_point_pairs_match_pairs_from_means(name, rows):
 def test_packed_pairs_step_as_the_pairs_do(name):
     """Packed pairs are the model's lane bytes, and the byte tables hold,
     bitwise, what w one-term steps from (sum, discount) = (0, 1) give over
-    the lane's block of w terms."""
+    the lane's block of w terms.  The terms come from the same stream words
+    read lane-major: 8 float pairs per lane, reshaped to (lanes, 8), hold
+    lane i's terms in row i, and reading them uses the stream as the lane
+    bytes do."""
     model = _TWO_POINT_MODELS[name]()
     spec = from_environment(model)
     sums, products = spec.byte_tables()
@@ -171,13 +174,15 @@ def test_packed_pairs_step_as_the_pairs_do(name):
         rng, twin = rng_stream(16, rows), rng_stream(16, rows)
         lane_bytes = spec.sample_pairs(rng, rows * 4097, rows, packed=True)
         assert np.array_equal(lane_bytes, model.sample_means(twin, rows * 4097, rows, packed=True))
-        one_row = rng_stream(16, rows)
+        one_term = rng_stream(16, rows)
+        a, b = (x.reshape(-1, 8)[:4097] for x in spec.sample_pairs(one_term, 64 * -(-4097 // 8)))
         acc, c = np.zeros(4097), np.ones(4097)
-        for _ in range(rows):
-            a, b = spec.sample_pairs(one_row, 4097)
-            acc, c = acc + c * a, c * b
+        for j in range(rows):
+            acc, c = acc + c * a[:, j], c * b[:, j]
         assert np.array_equal(sums[rows][lane_bytes], acc)
         assert np.array_equal(products[rows][lane_bytes], c)
+        next_words = (r.generator.integers(0, 2**32, 4, dtype=np.uint32) for r in (rng, one_term))
+        assert np.array_equal(*next_words)
 
 
 def test_packed_pairs_need_a_two_point_environment():
@@ -192,9 +197,9 @@ def test_series_peak_memory_per_lane_plus_two_blocks():
     one float64 row of A and of B plus 64 bytes per lane, the bound of
     pairs drawn one term at a time; a two-point spec draws one byte per
     lane instead, and stays within 96 bytes per lane: its state (values,
-    flags, index, discount, sum and term, 41 bytes), the draw (packed
-    bits, their transposed square and its temporary, and the intp lane
-    bytes, 11 bytes) and the masks and compacted copies of a retirement.
+    flags, index, discount, sum and term, 41 bytes), the draw (a stream
+    byte and an intp lane byte, 9 bytes) and the masks and compacted
+    copies of a retirement.
     One live float64 block (64 bytes per lane at 8 rows) would pass that
     bound."""
     lanes = 25_000
@@ -414,8 +419,13 @@ def test_series_mean_identity_random_spec():
 
 
 def _series_one_term_per_draw(spec, n, rng, *, k_max=200_000):
-    """The series sampler drawing one term per ``sample_pairs`` call (the
-    loop the block draws replaced), at the default tolerance."""
+    """The series sampler stepping one term at a time (the loop the block
+    draws replaced), at the default tolerance.  Specs without byte tables
+    draw each term by ``sample_pairs``.  A two-point spec reads the stream
+    lane-major, as its block draws do: each check interval unpacks
+    ceil(live / 8) raw 64-bit outputs of ``rng`` into a (live, 8) bit
+    array whose bit (i, j) selects lane i's support mean for the
+    interval's term j, mapped to its pair by :func:`_pairs_from_means`."""
     _, theta = contraction_rate(spec)
     tail_scale = spec.a_upper() if math.isinf(theta) else spec.a_upper() / (-math.expm1(-theta))
     c_tol = 1e-6 / max(tail_scale, 1e-300)
@@ -424,8 +434,18 @@ def _series_one_term_per_draw(spec, n, rng, *, k_max=200_000):
     idx = np.arange(n)
     c = np.ones(n)
     acc = np.zeros(n)
+    lane_major = spec.byte_tables() is not None
+    if lane_major:
+        bit_generator = rng.generator.bit_generator
+        support = _pairs_from_means(spec.model, np.array(spec.model.mean_bounds()))
     for k in range(1, k_max + 1):
-        a, b = spec.sample_pairs(rng, idx.size)
+        if not lane_major:
+            a, b = spec.sample_pairs(rng, idx.size)
+        else:
+            if (k - 1) % _CHECK_EVERY == 0:
+                raw = bit_generator.random_raw(-(-idx.size // 8)).astype("<u8").view(np.uint8)
+                flips = np.unpackbits(raw, bitorder="little").reshape(-1, 8)[:idx.size]
+            a, b = (x.take(flips[:, (k - 1) % _CHECK_EVERY]) for x in support)
         acc += c * a
         c *= b
         if k % _CHECK_EVERY and k < k_max:

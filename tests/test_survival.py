@@ -383,13 +383,27 @@ def test_lf_floor_threshold_is_exact(p0):
 
 
 def _lf_one_generation_per_draw(model, n_lanes, stream, tol_q, tol_mu, n_max):
-    """The LF kernel drawing one generation per ``sample_means`` call (the
-    loop the block draws replaced)."""
+    """The LF kernel stepping one generation at a time (the loop the block
+    draws replaced).  Uniform noise and nu = 0 draw each generation by
+    ``sample_means``.  Two-point noise reads the stream lane-major, as the
+    block draws do: each check interval unpacks ceil(live / 8) raw 64-bit
+    outputs of ``stream`` into a (live, 8) bit array whose bit (i, j)
+    selects lane i's mean for the interval's generation j."""
     kappa = model.family.p0 / (1.0 - model.family.p0)
     total, discount, idx = np.zeros(n_lanes), np.ones(n_lanes), np.arange(n_lanes)
     values, flagged = np.zeros(n_lanes), np.zeros(n_lanes, dtype=bool)
+    lane_major = model.noise == "two_point" and model.nu > 0.0
+    if lane_major:
+        bit_generator = stream.generator.bit_generator
+        support = np.array(model.mean_bounds())
     for n in range(1, n_max + 1):
-        m = model.sample_means(stream, size=idx.size)
+        if not lane_major:
+            m = model.sample_means(stream, size=idx.size)
+        else:
+            if (n - 1) % _engines._CHECK_EVERY == 0:
+                raw = bit_generator.random_raw(-(-idx.size // 8)).astype("<u8").view(np.uint8)
+                flips = np.unpackbits(raw, bitorder="little").reshape(-1, 8)[:idx.size]
+            m = support.take(flips[:, (n - 1) % _engines._CHECK_EVERY])
         check = n % _engines._CHECK_EVERY == 0 or n == n_max
         if check:
             prev_r = 1.0 / (1.0 + kappa * total)
