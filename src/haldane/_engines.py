@@ -19,12 +19,13 @@ environment runs one lane of its family's route):
   three :func:`annuity_byte_tables` lookups), otherwise one draw and step
   per generation;
 * for every other family under either noise kind, a block-doubling
-  backward replay over a stored environment matrix (packed stream bits
-  under two-point noise, one law parameter per lane-generation under
-  uniform noise: a rate, or a tilt, in closed form on {0, 1, 2}) at
-  doubling checkpoints, in blocks of 32 (:func:`_survival_backward_pair`);
-  Poisson replays horizon n alone, and n-1 too only where a concavity
-  bound on the increment leaves the stopping rule undecided.
+  backward replay over an append-only environment log (:class:`_EnvLog`:
+  packed stream bits under two-point noise, one law parameter per
+  lane-generation under uniform noise: a rate, or a tilt, in closed form
+  on {0, 1, 2}) at doubling checkpoints, in blocks of 32
+  (:func:`_survival_backward_pair`); Poisson replays horizon n alone, and
+  n-1 too only where a concavity bound on the increment leaves the
+  stopping rule undecided.
 
 ``gf_scalar_path`` replays one path law by law in pure Python; it is the
 per-path oracle of the tests, not an estimator route.
@@ -61,15 +62,15 @@ EXTINCTION_FLOOR = 1e-15
 _CHECK_EVERY = 8
 
 
-# Storage guard for the replay engine's environment matrix (bytes per
-# batch): 1/8 byte per lane-generation packed, 8 bytes as float64.  The
-# matrix counts twice: growing it copies it, and so do replaying a subset of
-# its rows and retiring lanes.
+# Storage guard for the replay engine's environment log (bytes per batch):
+# 1/8 byte per lane-generation packed, 8 bytes as float64.  A checkpoint
+# holds the log, its new segment and the largest transient of its step at
+# once: a chunk of draws, or the copy that compacts a segment.
 _MAX_BITS_BYTES = 1 << 29
 
 
 class HorizonStorageError(RuntimeError):
-    """Raised when the replay engine's environment matrix would exceed its
+    """Raised when the replay engine's environment log would exceed its
     storage budget."""
 
 
@@ -260,7 +261,7 @@ def _floor_threshold(kappa: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Generic families: backward replay over a stored environment matrix
+# Generic families: backward replay over an append-only environment log
 # ---------------------------------------------------------------------------
 
 # Generations per transposed block of the replay (a multiple of 8, so a
@@ -271,21 +272,46 @@ _REPLAY_BLOCK = 32
 _POPCOUNT = BYTE_BITS.sum(axis=1, dtype=np.uint8)
 
 
-def _survival_backward_pair(family, table, env: np.ndarray, n: int, slopes: bool = False):
+class _EnvLog:
+    """The stored environment of ``lanes`` lanes: one (first generation, end
+    generation, data, row of each lane) per checkpoint in ``segments``, row
+    ``rows[i]`` of ``data`` holding lane i's generations first+1..end from
+    column 0.  Checkpoints start on multiples of ``_REPLAY_BLOCK``, so no
+    replay block spans two segments.  The tracer reads ``shape``."""
+
+    def __init__(self, segments, lanes: int):
+        self.segments, self.shape = segments, (lanes, segments[-1][1])
+
+    def __getitem__(self, lanes: np.ndarray) -> "_EnvLog":
+        """The log of the lanes at the sorted distinct indices ``lanes``
+        (itself if that is all of them); copies only the row vectors."""
+        if lanes.size == self.shape[0]:
+            return self
+        return _EnvLog([(lo, hi, data, rows[lanes]) for lo, hi, data, rows in self.segments], lanes.size)
+
+    def block(self, start: int, stop: int, per_column: int) -> np.ndarray:
+        """Generations start+1..stop of every lane, ``per_column`` to a column."""
+        lo, _, data, rows = next(s for s in self.segments if s[0] <= start < s[1])
+        return data[rows, (start - lo) // per_column:(stop - lo + per_column - 1) // per_column]
+
+
+def _survival_backward_pair(family, table, env, n: int, slopes: bool = False):
     """Conditional survival of horizons n and n-1 over a stored environment.
 
-    ``env`` has one row per lane.  Under two-point noise it holds the
-    stream bits packed 8 generations per byte (bit ``k % 8`` of byte
-    ``k // 8``, little-endian) and ``table[:, b]`` holds the survival-step
-    coefficients of the law that bit b selects; under uniform noise
-    ``table`` is None and ``env[:, k]`` holds the law parameter of
+    ``env`` is an :class:`_EnvLog` of the lanes to replay, or a 2-D array
+    with one row per lane, read as a one-segment log.  Under two-point
+    noise it holds the stream bits packed 8 generations per byte (bit
+    ``k % 8`` of byte ``k // 8``, little-endian) and ``table[:, b]`` holds
+    the survival-step coefficients of the law that bit b selects; under
+    uniform noise ``table`` is None and column k holds the law parameter of
     generation k+1.  Returns (u, v) with u the survival for the length-n
     path and v for the same path truncated after n-1 generations; u <= v
     lane-wise.  Both are advanced by one family evaluation per generation.
     With ``slopes`` (Poisson only) it replays u alone and returns (u, s), s
     the sum of the products -lam r that its steps pass to ``expm1``.
 
-    ``env`` is read as transposed blocks of ``_REPLAY_BLOCK`` generations.
+    ``env`` is read as transposed blocks of ``_REPLAY_BLOCK`` generations,
+    each gathered from the segment that holds it.
     Under two-point noise each coefficient row gets one
     :func:`two_point_octets` table, which expands a stored byte into the
     coefficients of its 8 generations, and the bytes are expanded one at a
@@ -295,6 +321,8 @@ def _survival_backward_pair(family, table, env: np.ndarray, n: int, slopes: bool
     turn, or three (L,) with ``slopes``, and allocate nothing (but for a
     finite template beyond {0, 1, 2}, the temporaries of ``finite_tail_sum``).
     """
+    if isinstance(env, np.ndarray):
+        env = _EnvLog([(0, n, env, slice(None))], env.shape[0])
     lanes = env.shape[0]
     if slopes:  # on w = -u with the rates, a step is w <- expm1(lam w)
         table = None if table is None else -table
@@ -307,12 +335,12 @@ def _survival_backward_pair(family, table, env: np.ndarray, n: int, slopes: bool
     for start in range((n - 1) // _REPLAY_BLOCK * _REPLAY_BLOCK, -1, -_REPLAY_BLOCK):
         stop = min(start + _REPLAY_BLOCK, n)
         if table is None:
-            block = family.step_coefficients(np.ascontiguousarray(env[:, start:stop].T))
+            block = family.step_coefficients(np.ascontiguousarray(env.block(start, stop, 1).T))
             if slopes:
                 np.negative(block, out=block)
         else:
             # intp once per block: take would copy byte indices to intp per row
-            block = np.ascontiguousarray(env[:, start // 8:(stop + 7) // 8].T, dtype=np.intp)
+            block = np.ascontiguousarray(env.block(start, stop, 8).T, dtype=np.intp)
         for g in range(stop - start - 1, -1, -1):
             if table is not None and (g % 8 == 7 or g == stop - start - 1):
                 for row, octet in zip(coefs, octets):
@@ -330,36 +358,38 @@ def _survival_backward_pair(family, table, env: np.ndarray, n: int, slopes: bool
     return (np.negative(w, out=w), total) if slopes else (uv[0], uv[1])
 
 
+def _draw_rows(width: int, itemsize: int) -> int:
+    """Rows per chunk of draws: a multiple of 32 whose unpacked draws (a byte
+    per stream bit, 8 per mean) take at most 256 KiB and 1/32 of the budget,
+    or 32 rows where those take more."""
+    return max(32, min(1 << 18, _MAX_BITS_BYTES >> 5) // (width * itemsize) // 32 * 32)
+
+
 def _draw_environment(model: EnvironmentModel, stream, env: np.ndarray, log_mu: np.ndarray,
                       n: int, target: int, log_support) -> None:
-    """Draw generations n+1..target of every row of ``env`` into it and
-    add their log means to ``log_mu``.
+    """Draw generations n+1..target of every row of ``env``, a new log
+    segment, into it and add their log means to ``log_mu``.
 
     Under two-point noise (``log_support`` holds the two log support
-    means) ``env`` takes the stream bits packed 8 to a byte, otherwise
-    (``log_support`` is None) one law parameter per generation.
+    means) ``env`` takes the stream bits packed 8 to a byte from bit 0,
+    otherwise (``log_support`` is None) one law parameter per generation.
 
-    When ``n`` and ``width`` are multiples of 8 (every checkpoint but an
-    unaligned ``n_max``), a row's bits are whole bytes of the stream, so
-    the stream's packed bytes go into ``env`` as drawn and a popcount
-    table counts the high means; otherwise the bits are unpacked and
-    repacked row by row.
+    When the width is a multiple of 8 (every checkpoint but an unaligned
+    ``n_max``), a row's bits are whole bytes of the stream, so the stream's
+    packed bytes go into ``env`` as drawn and a popcount table counts the
+    high means; otherwise the bits are unpacked and repacked row by row.
 
-    Rows are drawn in chunks of a multiple of 32 rows whose draws take at
-    most 1/32 of the storage budget, so the chunk's temporaries fit in the
-    half of the budget that the guard keeps for a copy of the matrix.  A
-    chunk of bits then ends on a 32-bit word of the stream, so the chunks
-    read the stream exactly as one block would.
+    Rows are drawn in chunks of :func:`_draw_rows`, so a chunk of bits ends
+    on a 32-bit word of the stream: the chunks read it as one block would.
     """
     width = target - n
-    # a draw takes a byte unpacked, as a mean takes 8 (packed draws take 1/8)
-    rows = max(32, (_MAX_BITS_BYTES >> 5) // (width * env.itemsize) // 32 * 32)
+    rows = _draw_rows(width, env.itemsize)
     for lo in range(0, env.shape[0], rows):
         chunk = slice(lo, min(lo + rows, env.shape[0]))
         count = chunk.stop - lo
         if log_support is not None:
             log_lo, log_hi = log_support
-            if n % 8 == 0 and width % 8 == 0:
+            if width % 8 == 0:
                 packed = stream.packed_bits(count * width)[:count * width // 8].reshape(count, -1)
                 # indexing, unlike take, does not first copy the uint8 indices
                 # to intp (8 bytes per stored byte)
@@ -369,11 +399,11 @@ def _draw_environment(model: EnvironmentModel, stream, env: np.ndarray, log_mu: 
                 n_hi = np.count_nonzero(fresh, axis=1)
                 packed = np.packbits(fresh, axis=1, bitorder="little")
             log_mu[chunk] += n_hi * log_hi + (width - n_hi) * log_lo
-            env[chunk, n // 8:(target + 7) // 8] = packed
+            env[chunk] = packed
         else:
             means = model.sample_means(stream, size=count * width).reshape(count, width)
             log_mu[chunk] += np.log(means).sum(axis=1)
-            env[chunk, n:target] = model.family.law_params(means)
+            env[chunk] = model.family.law_params(means)
 
 
 def gf_replay_batch(
@@ -390,15 +420,18 @@ def gf_replay_batch(
     The environment of each lane is stored as it is drawn: under two-point
     noise one stream bit per generation, packed 8 to a byte; under uniform
     noise one float64 law parameter per generation (``family.law_params``
-    of the drawn mean), drawn in row chunks at each checkpoint.  At
-    checkpoint horizons (powers of two times 256, capped at ``n_max``) the
-    backward survival recursion is replayed over the stored matrix for
-    lanes whose mean-growth condition is satisfied, and converged lanes are
-    retired.  Total backward work is at most about
+    of the drawn mean), in a new segment of an append-only log
+    (:class:`_EnvLog`) per checkpoint.  At checkpoint horizons (powers of
+    two times 256, capped at ``n_max``) the backward survival recursion is
+    replayed over the log for lanes whose mean-growth condition is
+    satisfied, and converged lanes are retired: from the row vectors, and
+    from a segment's data once fewer than half of its rows are live (if
+    the copy fits the budget).  Total backward work is at most about
     twice the forward work thanks to the doubling schedule.
     """
     family = model.family
     packed = model.noise == TWO_POINT
+    dtype = np.dtype(np.uint8 if packed else np.float64)
     log_tol_mu = -math.log(tol_mu)
     log_floor = math.log(EXTINCTION_FLOOR)
     if packed:
@@ -413,6 +446,7 @@ def gf_replay_batch(
     # of v - u (about 4n ulp: relative errors do not grow through concave
     # maps fixing 0) stays below tol_q / 4 and that of s (n^2 ulp) small.
     log_half_tol = math.log(tol_q / 2.0) - max(0.0, -math.log(model.mean_bounds()[0]))
+    fell_back = False  # once a u-only replay sent most lanes on to the pair, replay the pair
 
     stream = rng_stream(seed, stream_id)
     values = np.zeros(n_lanes)
@@ -420,27 +454,27 @@ def gf_replay_batch(
 
     idx = np.arange(n_lanes)
     log_mu = np.zeros(n_lanes)
-    env = np.zeros((n_lanes, 0), dtype=np.uint8 if packed else np.float64)
+    segments = []  # (first generation, end generation, data, row of each live lane)
     n = 0
 
     checkpoint = 256
     while True:
         target = min(checkpoint, n_max)
-        cols = (target + 7) // 8 if packed else target
-        if cols > env.shape[1]:
-            nbytes = 2 * idx.size * cols * env.itemsize
-            if nbytes > _MAX_BITS_BYTES:
-                raise HorizonStorageError(
-                    f"environment storage for {idx.size} live lanes to horizon {target} "
-                    f"needs {nbytes} bytes (the matrix and a copy), over the budget of "
-                    f"{_MAX_BITS_BYTES}; lower n_max or the replicates per batch, or use a "
-                    "linear-fractional family for deep subcritical horizons"
-                )
-            grown = np.zeros((idx.size, cols), dtype=env.dtype)
-            grown[:, :env.shape[1]] = env
-            env = grown
-
-        _draw_environment(model, stream, env, log_mu, n, target, log_support)
+        width = target - n
+        cols = (width + 7) // 8 if packed else width
+        held = sum(data.nbytes for _, _, data, _ in segments) + idx.size * cols * dtype.itemsize
+        # and a chunk of draws (retiring checks a compaction copy where it makes it)
+        nbytes = held + min(_draw_rows(width, dtype.itemsize), idx.size) * width * dtype.itemsize
+        if nbytes > _MAX_BITS_BYTES:
+            raise HorizonStorageError(
+                f"environment storage for {idx.size} live lanes to horizon {target} "
+                f"needs {nbytes} bytes (the log, its new segment and a chunk of draws), over the "
+                f"budget of {_MAX_BITS_BYTES}; lower n_max or the replicates per batch, or use a "
+                "linear-fractional family for deep subcritical horizons"
+            )
+        data = np.empty((idx.size, cols), dtype)
+        _draw_environment(model, stream, data, log_mu, n, target, log_support)
+        segments.append((n, target, data, np.arange(idx.size)))
         n = target
 
         # certain-extinction proxy: survival <= conditional mean population
@@ -449,15 +483,16 @@ def gf_replay_batch(
         check = ~extinct & (mu_ok | (n >= n_max))
         done = extinct.copy()
         if np.any(check):
-            # the copy of the checked rows is freed before retiring copies env
-            checked = env if check.all() else env[check]
-            if family.name == "poisson" and n * 2.0**-49 < tol_q and n < 1 << 22:
+            rows = np.flatnonzero(check)
+            checked = _EnvLog(segments, idx.size)[rows]
+            if family.name == "poisson" and not fell_back and n * 2.0**-49 < tol_q and n < 1 << 22:
                 u, slope = _survival_backward_pair(family, table, checked, n, slopes=True)
                 converged = u < EXTINCTION_FLOOR
                 pending = mu_ok[check] & ~converged
                 certified = pending & (log_mu[check] + slope < log_half_tol)
                 converged |= certified
                 redo = np.flatnonzero(pending & ~certified)
+                fell_back = 2 * redo.size > pending.size
                 if redo.size:
                     u_redo, v = _survival_backward_pair(family, table, checked[redo], n)
                     converged[redo] = v - u_redo < tol_q
@@ -465,7 +500,6 @@ def gf_replay_batch(
                 u, v = _survival_backward_pair(family, table, checked, n)
                 converged = (u < EXTINCTION_FLOOR) | (mu_ok[check] & (v - u < tol_q))
             del checked
-            rows = np.flatnonzero(check)
             values[idx[rows]] = u
             if n >= n_max:
                 flagged[idx[rows]] = ~converged
@@ -475,10 +509,16 @@ def gf_replay_batch(
         if n >= n_max or np.all(done):
             return values, flagged
         if np.any(done):
-            keep = ~done
-            idx, log_mu, env = idx[keep], log_mu[keep], env[keep]
+            keep = np.flatnonzero(~done)
+            idx, log_mu = idx[keep], log_mu[keep]
+            for i, (first, end, data, live) in enumerate(segments):
+                live, copy = live[keep], keep.size * data[0].nbytes
+                # compact once fewer than half of the rows are live, if the copy fits
+                if 2 * live.size < data.shape[0] and held + copy <= _MAX_BITS_BYTES:
+                    held -= data.nbytes - copy
+                    data, live = data[live], np.arange(live.size)
+                segments[i] = (first, end, data, live)
         checkpoint *= 2
-
 
 # The benchmark tracer wraps the engine under this name.
 gf_two_point_batch = gf_replay_batch

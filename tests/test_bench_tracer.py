@@ -6,7 +6,7 @@ library shows here, not only in a traced benchmark run."""
 import sys
 from pathlib import Path
 
-from haldane import make_environment, perpetuity, survival
+from haldane import _engines, make_environment, perpetuity, survival
 from haldane.numerics import rng_stream
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -44,7 +44,16 @@ def _tiny_calls():
     perpetuity.annuity_residual(spec, 1000, rng_stream(1, 1))
 
 
-def test_traced_layers_all_measured():
+def test_traced_layers_all_measured(monkeypatch):
+    # the replay's lane-generations, counted from the lanes each call returns
+    replay, lane_generations = _engines._survival_backward_pair, []
+
+    def spy(family, table, env, n, slopes=False):
+        result = replay(family, table, env, n, slopes)
+        lane_generations.append(result[0].size * n)
+        return result
+
+    monkeypatch.setattr(_engines, "_survival_backward_pair", spy)
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -56,7 +65,7 @@ def test_traced_layers_all_measured():
     metrics, unmeasured = tracer.layer_metrics(1, {})
     assert set(unmeasured) == RUN_LEVEL
     assert metrics["survival.scalar.s"]["value"] == 0
-    assert metrics["survival.replay.lane_generations"]["value"] > 0
+    assert metrics["survival.replay.lane_generations"]["value"] == sum(lane_generations) > 0
     assert metrics["survival.lf.generations"]["value"] > 0
     assert metrics["survival.lf.lane_generations"]["value"] > 0
     assert metrics["perpetuity.series.terms"]["value"] > 0

@@ -1,6 +1,7 @@
 """Survival-module tests: path composition, the reciprocal-survival
 identity, the closed-form composition oracle, estimators, and sweeps."""
 
+import hashlib
 import math
 import re
 import tracemalloc
@@ -644,7 +645,9 @@ def test_poisson_replay_equals_pair_only_replay(monkeypatch, noise, tol_q, tol_m
         sum(lanes if slopes else -lanes for m, slopes, lanes in calls if m == n)
         for n, slopes, _ in calls if slopes
     ]
-    if tol_mu == 0.99:
+    if tol_mu == 0.99 or tol_q == 1e-12:
+        # at 1e-12 the bound holds only to n = 512, and the lanes at 256
+        # all fell back to the pair, so 512 replays the pair alone
         assert certified and not any(certified)
     else:
         assert any(certified)
@@ -674,30 +677,93 @@ def test_gf_two_point_values_pinned():
     )
 
 
-@pytest.mark.parametrize("noise, lanes, horizon, matrix_bytes", [
+# Seeds 4-6 at tol_q = 1e-12: every lane checked at n = 256 falls back to
+# the pair, and at n = 512 (the last horizon the bound is used at) 236-245
+# lanes ran the u-only replay before and 185-207 of them the pair again.
+@pytest.mark.parametrize("noise, seed, digest", [
+    ("two_point", 4, "a3b72507a9467d5cc7899ca91394d2eaa10a35b980475bf9be0e709a5099b3ca"),
+    ("two_point", 5, "df267766859fc0255017e66c1140ada935148ece2b3bc504de04a38b9f044ed9"),
+    ("two_point", 6, "54af5211973c2cffc29bd426d6ec29bef0b10070b67947bbe3c45d88cf34899a"),
+    ("uniform", 4, "d2e1044a6e134efa83ed60c0bb8a2786da5594a90a491de729227cd238094aee"),
+    ("uniform", 5, "001ca7a7c0e80d7b385e7df414391774769f89756a062e8f67382450584f4522"),
+    ("uniform", 6, "19461a9b6fd7f56adb90c5c2dea8a2ec443dd2ce6f8d37623fd5f7a6ae70bfec"),
+])
+def test_poisson_skips_u_only_replay_after_a_fall_back(monkeypatch, noise, seed, digest):
+    """Once most lanes of a u-only replay replayed the pair again, later
+    checkpoints replay the pair alone; values and flags keep their digests
+    from before the skip."""
+    model = make_environment("poisson", 0.05, 0.025, noise)
+    replay = _engines._survival_backward_pair
+    calls = []
+
+    def spy(family, table, env, n, slopes=False):
+        calls.append((n, slopes, env.shape[0]))
+        return replay(family, table, env, n, slopes)
+
+    monkeypatch.setattr(_engines, "_survival_backward_pair", spy)
+    values, flags = _engines.gf_replay_batch(model, 256, seed, 1, 1e-12, 1e-6, 100_000)
+    (_, _, lanes), (_, _, again) = [call for call in calls if call[0] == 256]
+    assert calls[0] == (256, True, lanes) and 2 * again > lanes
+    assert [slopes for n, slopes, _ in calls if n > 256] == [False] * (len(calls) - 2)
+    assert any(n == 512 for n, _, _ in calls)
+    assert hashlib.sha256(values.tobytes() + flags.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("noise, lanes, horizon, segment_bytes", [
     ("two_point", 64, 256, 64 * 256 // 8),
     ("uniform", 64, 256, 64 * 256 * 8),
 ])
-def test_horizon_storage_guard_counts_bytes(monkeypatch, noise, lanes, horizon, matrix_bytes):
-    # The matrix counts twice, because growing it, replaying a subset of its
-    # rows and retiring lanes each copy it.
+def test_horizon_storage_guard_counts_bytes(monkeypatch, noise, lanes, horizon, segment_bytes):
+    """The guard counts the log, the checkpoint's new segment and the
+    unpacked bytes (one per stream bit, 8 per mean) of a chunk of draws: 32
+    rows, the fewest, as 1/32 of these budgets holds fewer.  Both
+    checkpoints here draw ``horizon`` generations."""
     model = make_environment("poisson", 0.05, 0.025, noise=noise)
-    nbytes = 2 * matrix_bytes
-    monkeypatch.setattr(_engines, "_MAX_BITS_BYTES", nbytes - 1)
-    message = f"{lanes} live lanes to horizon {horizon} needs {nbytes} bytes"
-    with pytest.raises(_engines.HorizonStorageError, match=message):
+    row_bytes = segment_bytes // lanes
+    unpacked = horizon * (1 if noise == "two_point" else 8)  # per row of a chunk
+
+    def refused(budget):
+        monkeypatch.setattr(_engines, "_MAX_BITS_BYTES", budget)
+        with pytest.raises(_engines.HorizonStorageError) as info:
+            estimate_survival_gf(model, n_reps=lanes, seed=2)
+        found = re.search(r"(\d+) live lanes to horizon (\d+) needs (\d+) bytes", str(info.value))
+        return tuple(map(int, found.groups()))
+
+    nbytes = segment_bytes + 32 * unpacked
+    assert refused(nbytes - 1) == (lanes, horizon, nbytes)
+    live, target, needed = refused(nbytes)
+    # the first segment keeps its dead rows while at least half are live
+    first = segment_bytes if 2 * live >= lanes else live * row_bytes
+    chunk = min(32, live) * unpacked
+    assert target == 2 * horizon and needed == first + live * row_bytes + chunk
+    assert refused(needed - 1) == (live, 2 * horizon, needed)
+    monkeypatch.setattr(_engines, "_MAX_BITS_BYTES", needed)
+    try:
         estimate_survival_gf(model, n_reps=lanes, seed=2)
-    monkeypatch.setattr(_engines, "_MAX_BITS_BYTES", nbytes)
-    with pytest.raises(_engines.HorizonStorageError, match=f"to horizon {2 * horizon} "):
-        estimate_survival_gf(model, n_reps=lanes, seed=2)
-    # The grown matrix alone fits this budget, twice over it does not.
-    monkeypatch.setattr(_engines, "_MAX_BITS_BYTES", 3 * matrix_bytes)
-    with pytest.raises(_engines.HorizonStorageError, match=f"to horizon {2 * horizon} ") as info:
-        estimate_survival_gf(model, n_reps=lanes, seed=2)
-    live, needed = map(int, re.search(r"(\d+) live lanes .* needs (\d+) bytes", str(info.value)).groups())
-    per_lane_generation = matrix_bytes / (lanes * horizon)
-    assert needed == 2 * live * 2 * horizon * per_lane_generation
-    assert live * 2 * horizon * per_lane_generation <= 3 * matrix_bytes
+    except _engines.HorizonStorageError as exc:
+        assert f"to horizon {2 * horizon} " not in str(exc)
+
+
+def test_log_guard_admits_what_twice_the_matrix_refused(monkeypatch):
+    """A uniform-noise batch whose budget is below twice the matrix of
+    the live lanes at some checkpoint (the guard before the log) runs to
+    the end under it, bitwise as under the default budget."""
+    model = make_environment("poisson", 0.02, 0.02, noise="uniform")
+    draw = _engines._draw_environment
+    live_to = []
+
+    def spy(model, stream, env, log_mu, n, target, log_support):
+        live_to.append((env.shape[0], target))
+        return draw(model, stream, env, log_mu, n, target, log_support)
+
+    monkeypatch.setattr(_engines, "_draw_environment", spy)
+    whole = _engines.gf_replay_batch(model, 256, 9, 0, 1e-8, 1e-6, 100_000)
+    twice_matrix = max(2 * live * target * 8 for live, target in live_to)
+    assert len(live_to) >= 4  # horizon 2,048 or deeper
+    monkeypatch.setattr(_engines, "_MAX_BITS_BYTES", twice_matrix - 1)
+    tight = _engines.gf_replay_batch(model, 256, 9, 0, 1e-8, 1e-6, 100_000)
+    for a, b in zip(whole, tight):
+        assert a.tobytes() == b.tobytes()
 
 
 # Traced bytes per lane the replay may hold beyond its storage budget: the
@@ -737,13 +803,13 @@ def test_replay_and_draw_transients_stay_small(name):
     a whole block of coefficients took 577 for Poisson), and a packed draw
     at most 3 bytes per stored byte (the stream words and the popcounts;
     casting the popcount indices to intp took 10).  These transients set
-    the process's peak memory, on top of the stored matrix."""
+    the process's peak memory, on top of the stored log."""
     model = make_environment(name, 0.05, 0.025)
     family = model.family
     table = family.step_coefficients(family.law_params(model.support_means()))
     lanes, n = 4096, 1024
     env = rng_stream(1, 0).packed_bits(lanes * n).reshape(lanes, n // 8)
-    grown, log_mu = np.zeros((lanes, n // 4), dtype=np.uint8), np.zeros(lanes)
+    segment, log_mu = np.empty((lanes, n // 8), dtype=np.uint8), np.zeros(lanes)
     log_support = tuple(math.log(m) for m in model.support_means())
     _engines._survival_backward_pair(family, table, env[:1], n)  # first-use allocations
     tracemalloc.start()
@@ -751,7 +817,7 @@ def test_replay_and_draw_transients_stay_small(name):
         _engines._survival_backward_pair(family, table, env, n)
         replay_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        _engines._draw_environment(model, rng_stream(2, 0), grown, log_mu, n, 2 * n, log_support)
+        _engines._draw_environment(model, rng_stream(2, 0), segment, log_mu, n, 2 * n, log_support)
         draw_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
