@@ -361,7 +361,8 @@ def _survival_backward_pair(family, table, env, n: int, slopes: bool = False):
 def _draw_rows(width: int, itemsize: int) -> int:
     """Rows per chunk of draws: a multiple of 32 whose unpacked draws (a byte
     per stream bit, 8 per mean) take at most 256 KiB and 1/32 of the budget,
-    or 32 rows where those take more."""
+    or 32 rows where those take more.  32 rows of whole bytes are whole
+    64-bit stream outputs."""
     return max(32, min(1 << 18, _MAX_BITS_BYTES >> 5) // (width * itemsize) // 32 * 32)
 
 
@@ -371,16 +372,14 @@ def _draw_environment(model: EnvironmentModel, stream, env: np.ndarray, log_mu: 
     segment, into it and add their log means to ``log_mu``.
 
     Under two-point noise (``log_support`` holds the two log support
-    means) ``env`` takes the stream bits packed 8 to a byte from bit 0,
-    otherwise (``log_support`` is None) one law parameter per generation.
+    means) row i of a chunk is bytes ``[i * cols, (i + 1) * cols)`` of the
+    chunk's :meth:`~haldane.numerics.RandomStream.packed_bits`, ``cols``
+    the row's bytes, its bits past ``target - n`` cleared; a popcount table
+    counts the high means.  Otherwise (``log_support`` is None) ``env``
+    takes one law parameter per generation.
 
-    When the width is a multiple of 8 (every checkpoint but an unaligned
-    ``n_max``), a row's bits are whole bytes of the stream, so the stream's
-    packed bytes go into ``env`` as drawn and a popcount table counts the
-    high means; otherwise the bits are unpacked and repacked row by row.
-
-    Rows are drawn in chunks of :func:`_draw_rows`, so a chunk of bits ends
-    on a 32-bit word of the stream: the chunks read it as one block would.
+    Rows are drawn in chunks of :func:`_draw_rows`, so a chunk ends on a
+    64-bit output of the stream: the chunks read it as one block would.
     """
     width = target - n
     rows = _draw_rows(width, env.itemsize)
@@ -389,15 +388,13 @@ def _draw_environment(model: EnvironmentModel, stream, env: np.ndarray, log_mu: 
         count = chunk.stop - lo
         if log_support is not None:
             log_lo, log_hi = log_support
-            if width % 8 == 0:
-                packed = stream.packed_bits(count * width)[:count * width // 8].reshape(count, -1)
-                # indexing, unlike take, does not first copy the uint8 indices
-                # to intp (8 bytes per stored byte)
-                n_hi = _POPCOUNT[packed].sum(axis=1, dtype=np.int64)
-            else:
-                fresh = stream.bits((count, width))
-                n_hi = np.count_nonzero(fresh, axis=1)
-                packed = np.packbits(fresh, axis=1, bitorder="little")
+            cols = env.shape[1]
+            packed = stream.packed_bits(8 * count * cols)[:count * cols].reshape(count, cols)
+            if width % 8:
+                packed[:, -1] &= (1 << width % 8) - 1
+            # indexing, unlike take, does not first copy the uint8 indices
+            # to intp (8 bytes per stored byte)
+            n_hi = _POPCOUNT[packed].sum(axis=1, dtype=np.int64)
             log_mu[chunk] += n_hi * log_hi + (width - n_hi) * log_lo
             env[chunk] = packed
         else:

@@ -373,7 +373,7 @@ class EnvironmentModel:
 
         Two-point noise costs one stream bit per mean and returns exactly
         the values of :meth:`mean_bounds`: the bits are read as whole
-        32-bit stream words (:meth:`RandomStream.packed_bits`) and each
+        64-bit stream outputs (:meth:`RandomStream.packed_bits`) and each
         byte expands to 8 means through one row of a 256-entry table.
         Only ``packed`` draws (two-point noise, ``nu > 0``, ``rows <= 8``)
         take ``rows``: the means of ``rows`` generations of ``size // rows``

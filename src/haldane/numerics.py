@@ -1,7 +1,8 @@
 """Numerical support layer: regularized incomplete gamma functions, the
 inverse-gamma distribution (CDF, density, Laplace transform), Kolmogorov-
 Smirnov statistics, the estimate type with its batch merge, and
-deterministic splittable random streams.
+deterministic splittable random streams, whose bit draws take whole raw
+64-bit Philox outputs.
 
 Everything here is deliberately small and runs on numpy alone: the
 incomplete gamma functions are a power series and a continued fraction
@@ -327,71 +328,41 @@ class RandomStream:
     the two identifiers, so stream j is reachable without generating
     streams below j, distinct identifiers give statistically independent
     output, and identical identifiers reproduce identical sequences.
-    Packed bits come from its raw 64-bit outputs while the stream alone
-    draws 32-bit words, and through ``Generator.integers`` once
-    :attr:`generator` is handed out.  A stream must be owned by a single
-    consumer at a time; creating one is cheap, so each replicate or batch
-    gets its own.
+    Every bit draw reads whole raw 64-bit outputs of the bit generator
+    (:meth:`packed_bits`), whatever :attr:`generator`'s own draws left
+    buffered.  A stream must be owned by a single consumer at a time;
+    creating one is cheap, so each replicate or batch gets its own.
     """
 
     master_seed: int
     stream_id: int
-    _gen: np.random.Generator = field(init=False, repr=False, compare=False)
-    # whether half of a 64-bit output is buffered; None once generator is read
-    _half: bool | None = field(init=False, repr=False, compare=False, default=False)
+    # the underlying numpy Generator (its draws advance this stream's counter)
+    generator: np.random.Generator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name, value in (("master_seed", self.master_seed), ("stream_id", self.stream_id)):
             if not (0 <= value <= _U64_MAX):
                 raise ValueError(f"{name} must fit in 64 unsigned bits, got {value}")
         key = (self.stream_id << 64) | self.master_seed
-        self._gen = np.random.Generator(np.random.Philox(key=key))
-
-    @property
-    def generator(self) -> np.random.Generator:
-        """The underlying numpy Generator (advances this stream's counter)."""
-        self._half = None
-        return self._gen
+        self.generator = np.random.Generator(np.random.Philox(key=key))
 
     def uniforms(self, n: int) -> np.ndarray:
         """Next ``n`` uniforms on [0, 1)."""
-        return self._gen.random(n)
+        return self.generator.random(n)
 
     def packed_bits(self, count: int) -> np.ndarray:
         """Next ``count`` fair coin flips, flip k in bit ``k % 8`` (low bit
-        first) of byte ``k // 8``.
-
-        The flips are ``ceil(count / 32)`` whole 32-bit stream words as
-        little-endian bytes; bits past ``count`` are the unused rest of the
-        last word.  ``generator.integers(0, 2, count, dtype=bool)`` reads
-        the same words, low bit first.  Words are the low and high halves
-        of 64-bit outputs, a leftover high half being buffered; while none
-        is, an even word count is read as raw outputs, at a fifth of the
-        cost of ``integers``.
+        first) of byte ``k // 8``: the little-endian bytes of ``ceil(count /
+        64)`` whole raw 64-bit outputs.  Bits past ``count`` go unused; a
+        32-bit half that :attr:`generator` holds buffered is left as it is.
         """
-        words = -(-count // 32)
-        if words % 2 == 0 and self._half is False:
-            return self._gen.bit_generator.random_raw(words // 2).astype("<u8", copy=False).view(np.uint8)
-        if words % 2 and self._half is not None:
-            self._half = not self._half
-        return self._gen.integers(0, 2**32, words, dtype=np.uint32).astype("<u4", copy=False).view(np.uint8)
-
-    def bits(self, size) -> np.ndarray:
-        """Next fair coin flips as a boolean array of shape ``size``.
-
-        The unpacked view of :meth:`packed_bits`, filled in C order: each
-        value costs one bit of the stream, against 64 bits for a uniform.
-        """
-        shape = tuple(size) if np.ndim(size) else (int(size),)
-        count = math.prod(shape)
-        flips = np.unpackbits(self.packed_bits(count), count=count, bitorder="little")
-        return flips.view(bool).reshape(shape)
+        return self.generator.bit_generator.random_raw(-(-count // 64)).astype("<u8", copy=False).view(np.uint8)
 
     def two_point(self, octets: np.ndarray, size: int) -> np.ndarray:
         """Next ``size`` draws of a two-point law, one stream bit each:
         each byte of :meth:`packed_bits` selects a row of the
         :func:`two_point_octets` table ``octets``, the values of 8 draws."""
-        return octet_values(octets, self.packed_bits(size), size)
+        return octets.take(self.packed_bits(size), axis=0).reshape(-1)[:size]
 
     def lane_bytes(self, size: int, rows: int = 1) -> np.ndarray:
         """Next fair coin flips for ``rows <= 8`` rows of ``width = size //
@@ -399,22 +370,15 @@ class RandomStream:
         whose bit j is the lane's flip in row j.
 
         Lane i's byte is byte i of ``ceil(width / 8)`` whole 64-bit stream
-        outputs (:meth:`packed_bits` of ``64 * ceil(width / 8)`` flips, raw
-        outputs while no 32-bit half is buffered), so no transpose is
-        needed.  The bits from ``rows`` on, drawn but unused, are cleared.
+        outputs (:meth:`packed_bits` of ``64 * ceil(width / 8)`` flips), so
+        no transpose is needed.  The bits from ``rows`` on, drawn but
+        unused, are cleared.
         """
         width = size // rows
         block = self.packed_bits(64 * -(-width // 8))[:width].astype(np.intp)
         if rows < 8:
             block &= (1 << rows) - 1
         return block
-
-
-def octet_values(octets: np.ndarray, packed: np.ndarray, size: int) -> np.ndarray:
-    """A view of the first ``size`` draws that ``packed_bits`` bytes encode
-    through a :func:`two_point_octets` table, by one lookup; tables may
-    share the bytes, so that each flip selects a value from every table."""
-    return octets.take(packed, axis=0).reshape(-1)[:size]
 
 
 def two_point_octets(lo: float, hi: float) -> np.ndarray:

@@ -28,8 +28,7 @@ import numpy as np
 from ._engines import annuity_batch, annuity_byte_tables, byte_step
 from .environment import TWO_POINT, UNIFORM, EnvironmentModel, LinearFractionalFamily, PoissonFamily
 from .numerics import (
-    InverseGammaParams, RandomStream, invgamma_cdf, ks_one_sample, ks_two_sample, octet_values,
-    two_point_octets,
+    InverseGammaParams, RandomStream, invgamma_cdf, ks_one_sample, ks_two_sample, two_point_octets,
 )
 
 __all__ = [
@@ -226,16 +225,13 @@ class PerpetuitySpec:
     ) -> tuple[np.ndarray, np.ndarray] | np.ndarray:
         """``size`` pairs (A, B); A may be a read-only broadcast view.
 
-        Under two-point noise every pair is one of two, so one packed draw
-        (the stream words ``model.sample_means`` would read) selects each
-        pair from two cached octet tables, with no means in between; an A
-        that is equal at both means (Poisson) is broadcast.  Only
-        ``packed`` draws (two-point noise with ``nu > 0``, ``rows <= 8``)
-        take ``rows``: the pairs of ``rows`` terms of ``size // rows`` lanes
-        come back as one stream byte per lane whose bit j selects the pair
-        of term j (:meth:`RandomStream.lane_bytes`), for
-        :meth:`byte_tables`.  Uniform noise and a degenerate environment
-        map drawn means; scalar laws draw A, then B.
+        An environment's pairs map ``model.sample_means`` draws (a Poisson
+        A, equal at every mean, is broadcast); scalar laws draw A, then B.
+        Only ``packed`` draws (two-point noise with ``nu > 0``, ``rows <=
+        8``) take ``rows``: the pairs of ``rows`` terms of ``size // rows``
+        lanes come back as one stream byte per lane whose bit j selects the
+        pair of term j (:meth:`RandomStream.lane_bytes`), for
+        :meth:`byte_tables`.
         """
         if packed:
             if self._support_pairs is None:
@@ -243,12 +239,6 @@ class PerpetuitySpec:
             return rng.lane_bytes(size, rows)
         if rows != 1:
             raise ValueError(f"only packed pairs take rows > 1, got rows = {rows}")
-        if self._pair_octets is not None:
-            a_octets, a_lo, b_octets = self._pair_octets
-            bits = rng.packed_bits(size)
-            b = octet_values(b_octets, bits, size)
-            a = np.broadcast_to(a_lo, b.shape) if a_octets is None else octet_values(a_octets, bits, size)
-            return a, b
         if self.model is not None:
             means = self.model.sample_means(rng, size=size)
             return _limit_shape_values(self.model, means), np.divide(1.0, means, out=means)
@@ -274,16 +264,6 @@ class PerpetuitySpec:
         means = np.array(model.support_means())
         a, b = _limit_shape_values(model, means), np.divide(1.0, means)
         return (float(a[0]), float(a[1])), (float(b[0]), float(b[1]))
-
-    @functools.cached_property
-    def _pair_octets(self) -> tuple[np.ndarray | None, float, np.ndarray] | None:
-        """``(A table or None, A at the low mean, B table)``: the support
-        pairs in :func:`two_point_octets` form, with no A table when both A
-        agree; None where there are no support pairs."""
-        if self._support_pairs is None:
-            return None
-        (a_lo, a_hi), (b_lo, b_hi) = self._support_pairs
-        return None if a_lo == a_hi else two_point_octets(a_lo, a_hi), a_lo, two_point_octets(b_lo, b_hi)
 
 
 def from_environment(model: EnvironmentModel) -> PerpetuitySpec:

@@ -1,8 +1,7 @@
 """Cold start: importing the package, running the two-point estimators,
-drawing perpetuity series and fitting their limit laws load numpy only.
-SciPy is imported inside the one check that uses it (the pdf-mass
-quadrature of ``haldane verify``), so each case runs in a fresh interpreter
-and inspects ``sys.modules``."""
+drawing perpetuity series, fitting their limit laws and the pdf-mass check
+of ``haldane verify`` load numpy only; SciPy is a test dependency.  Each
+case runs in a fresh interpreter and inspects ``sys.modules``."""
 
 import json
 import os
@@ -147,3 +146,17 @@ def test_perpetuity_runs_load_no_scipy(tmp_path, name):
         print(json.dumps(loaded))
     """)
     assert loaded == {"library": [], "cli": []}
+
+
+def test_pdf_mass_check_loads_no_scipy():
+    """``haldane verify``'s invgamma-cdf-pdf check takes the pdf mass by
+    the trapezoid rule, so it passes without loading SciPy."""
+    out = _run_fresh(f"""
+        import json, sys
+        from haldane.verify import CHECKS
+        check = next(c for c in CHECKS if c.name == "invgamma-cdf-pdf")
+        passed, detail = check.fast()
+        print(json.dumps({{"passed": bool(passed), "detail": detail, "scipy": {_SCIPY_LOADED}}}))
+    """)
+    assert out["passed"] and out["scipy"] == []
+    assert out["detail"].startswith("|cdf(1,2 at 2) - exp(-1)| = ")

@@ -24,6 +24,7 @@ from haldane import (
     rng_stream,
     upper_reg_gamma,
 )
+from haldane import verify
 from haldane.numerics import RandomStream, combine_batch_stats, ks_threshold, two_point_octets
 
 
@@ -161,6 +162,16 @@ def test_invgamma_matches_scipy():
     for x in (0.1, 0.5, 1.0, 3.0, 10.0):
         assert invgamma_cdf(params, x) == pytest.approx(float(dist.cdf(x)), abs=1e-12)
         assert invgamma_pdf(params, x) == pytest.approx(float(dist.pdf(x)), rel=1e-12)
+
+
+@pytest.mark.parametrize("a, b", [(0.5, 2.0), (1.0, 2.0), (3.0, 2.0)])
+def test_pdf_mass_by_trapezoid_rule_matches_quad(a, b):
+    """The trapezoid-rule mass of ``haldane verify``'s invgamma-cdf-pdf
+    check agrees with adaptive quadrature of the same pdf at its three
+    (a, b)."""
+    params = InverseGammaParams(a, b)
+    mass, _ = integrate.quad(lambda x: invgamma_pdf(params, x), 1e-12, np.inf, limit=400)
+    assert abs(verify._invgamma_pdf_mass(params) - mass) <= 1e-12
 
 
 def test_invgamma_laplace_total_mass_and_monotone():
@@ -303,36 +314,54 @@ def test_stream_crosscorrelation():
     assert abs(float(np.corrcoef(x, y)[0, 1])) < 5.0 / math.sqrt(n)
 
 
+def _raw_twin(stream):
+    """An independent bit generator on the stream's key, read raw."""
+    return np.random.Philox(key=(stream.stream_id << 64) | stream.master_seed)
+
+
+def _twin_bytes(twin, count):
+    """``count`` flips as ``ceil(count / 64)`` raw outputs, little-endian bytes."""
+    return twin.random_raw(-(-count // 64)).astype("<u8").view(np.uint8)
+
+
+def _flips(packed, count):
+    return np.unpackbits(packed, count=count, bitorder="little").view(bool)
+
+
 def test_stream_bits_fair_and_reproducible():
     n = 1_000_000
-    bits = rng_stream(5, 3).bits(n)
-    assert bits.dtype == bool and bits.shape == (n,)
+    stream = rng_stream(5, 3)
+    packed = stream.packed_bits(n)
+    assert packed.dtype == np.uint8 and packed.shape == (n // 8,)
+    assert np.array_equal(packed, _twin_bytes(_raw_twin(stream), n))
+    bits = _flips(packed, n)
     # share of ones within 5 sigma of 1/2
     assert abs(np.count_nonzero(bits) / n - 0.5) <= 5.0 * 0.5 / math.sqrt(n)
-    assert np.array_equal(bits, rng_stream(5, 3).bits(n))
-    assert not np.array_equal(bits[:100], rng_stream(5, 4).bits(100))
-    assert rng_stream(5, 3).bits((3, 7)).shape == (3, 7)
+    assert np.array_equal(bits, _flips(rng_stream(5, 3).packed_bits(n), n))
+    assert not np.array_equal(bits[:100], _flips(rng_stream(5, 4).packed_bits(100), 100))
+    assert rng_stream(5, 3).packed_bits(21).shape == (8,)
 
 
-# Sizes around the byte (8) and stream word (32) boundaries.
-_BIT_SIZES = (0, 1, 3, 5, 7, 9, 31, 32, 33, 64, 100, 1000, 16384, 16385)
+# Sizes around the byte (8), 32-bit word and 64-bit output boundaries.
+_BIT_SIZES = (0, 1, 3, 5, 7, 9, 31, 32, 33, 64, 65, 100, 1000, 16384, 16385)
 
 
 @pytest.mark.parametrize("seed", [0, 17, 2**63 + 5])
 def test_packed_bits_read_the_stream_as_bool_draws(seed):
-    # The reference draws from an identical Philox stream: bounded boolean
-    # draws, 32 bits to a word, low bit first.  Between draws both streams
-    # serve 64-bit consumers (random, poisson) and 32-bit ones (permutation,
-    # small integers), which leave half a 64-bit output buffered.
+    # The flips are the bits of the reference's next ceil(size / 64) raw
+    # outputs, low bit first, whatever the size.  Between draws both
+    # streams serve 64-bit consumers (random, poisson) and 32-bit ones
+    # (permutation, small integers), which leave half a 64-bit output
+    # buffered; the bit draws read past it.
     stream = rng_stream(seed, 3)
     reference = np.random.Generator(np.random.Philox(key=(3 << 64) | seed))
     for size in _BIT_SIZES:
         packed = stream.packed_bits(size)
-        assert packed.dtype == np.uint8 and packed.shape == (4 * -(-size // 32),)
-        expected = reference.integers(0, 2, size, dtype=bool)
-        assert np.array_equal(np.unpackbits(packed, count=size, bitorder="little").view(bool), expected)
-        assert np.array_equal(stream.bits(size), reference.integers(0, 2, size, dtype=bool))
-        assert np.array_equal(stream.bits((3, size)), reference.integers(0, 2, (3, size), dtype=bool))
+        assert packed.dtype == np.uint8 and packed.shape == (8 * -(-size // 64),)
+        expected = _twin_bytes(reference.bit_generator, size)
+        assert np.array_equal(packed, expected)
+        assert np.array_equal(_flips(packed, size), _flips(expected, size))
+        assert np.array_equal(stream.packed_bits(3 * size), _twin_bytes(reference.bit_generator, 3 * size))
         for gen in (stream.generator, reference):
             gen.random(3)
             gen.permutation(size % 7 + 2)
@@ -360,11 +389,6 @@ def test_two_point_rows_read_the_stream_as_successive_calls():
     assert repr(stream.generator.bit_generator.state) == repr(twin.generator.bit_generator.state)
 
 
-def _twin_words(twin, count):
-    """``count`` flips as ``integers`` 32-bit words, little-endian bytes."""
-    return twin.integers(0, 2**32, -(-count // 32), dtype=np.uint32).astype("<u4").view(np.uint8)
-
-
 def _lane_bytes_oracle(raw_bytes, width, rows):
     """Lane i's byte holds bit j of stream byte i in its bit j for j <
     ``rows``: unpack the stream bytes lane-major, weigh, sum."""
@@ -372,37 +396,52 @@ def _lane_bytes_oracle(raw_bytes, width, rows):
     return (flips << np.arange(rows)).sum(axis=1)
 
 
+def _check_bit_draws(stream, twin, count):
+    """``packed_bits``, ``two_point`` and ``lane_bytes`` of ``stream`` read
+    the raw twin's next outputs, byte for byte."""
+    assert np.array_equal(stream.packed_bits(count), _twin_bytes(twin, count))
+    flips = _flips(_twin_bytes(twin, count), count)
+    assert np.array_equal(stream.two_point(two_point_octets(0.3, 1.7), count), np.where(flips, 1.7, 0.3))
+    for rows, width in ((8, count), (3, count), (1, count + 1)):
+        expected = _lane_bytes_oracle(_twin_bytes(twin, 64 * -(-width // 8)), width, rows)
+        assert np.array_equal(stream.lane_bytes(rows * width, rows), expected)
+
+
 @pytest.mark.parametrize("seed", [0, 2**63 + 5])
-def test_stream_draws_match_an_integers_twin(seed):
-    # packed bits read raw 64-bit outputs while no 32-bit half is buffered
-    # and go through integers otherwise; odd word counts flip the buffer,
-    # so every byte must match a twin that always draws 32-bit words
+def test_stream_draws_match_a_raw_twin(seed):
+    # every bit draw reads ceil(count / 64) whole raw outputs, odd 32-bit
+    # word counts included, so every byte must match a twin read raw
     stream = rng_stream(seed, 9)
-    twin = np.random.Generator(np.random.Philox(key=(9 << 64) | seed))
+    twin = _raw_twin(stream)
     for count in (64, 32, 0, 96, 1, 33, 64, 1000, 31, 4096, 16385, 40):
-        assert np.array_equal(stream.packed_bits(count), _twin_words(twin, count))
-        assert stream._half == bool(twin.bit_generator.state["has_uint32"])
-        flips = np.unpackbits(_twin_words(twin, count), count=count, bitorder="little").view(bool)
-        assert np.array_equal(stream.bits(count), flips)
-        for rows, width in ((8, count), (3, count), (1, count + 1)):
-            expected = _lane_bytes_oracle(_twin_words(twin, 64 * -(-width // 8)), width, rows)
-            assert np.array_equal(stream.lane_bytes(rows * width, rows), expected)
-        assert stream._half == bool(twin.bit_generator.state["has_uint32"])
-    # once the generator is handed out its 32-bit consumers may leave a
-    # half buffered, and the stream draws through integers from then on
-    for gen in (stream.generator, twin):
+        _check_bit_draws(stream, twin, count)
+        assert repr(stream.generator.bit_generator.state) == repr(twin.state)
+    # the generator's 32-bit consumers may leave a half buffered; the bit
+    # draws read on raw from the next output
+    for gen in (stream.generator, np.random.Generator(twin)):
         gen.permutation(5)
         gen.integers(0, 10)
-    assert stream._half is None
     for count in (64, 32, 128):
-        assert np.array_equal(stream.packed_bits(count), _twin_words(twin, count))
+        assert np.array_equal(stream.packed_bits(count), _twin_bytes(twin, count))
     # counter, key, buffered outputs and the buffered 32-bit half
-    assert repr(stream.generator.bit_generator.state) == repr(twin.bit_generator.state)
+    assert repr(stream.generator.bit_generator.state) == repr(twin.state)
 
 
-def _raw_twin(stream):
-    """An independent bit generator on the stream's key, read raw."""
-    return np.random.Philox(key=(stream.stream_id << 64) | stream.master_seed)
+def test_bit_draws_read_past_a_buffered_half():
+    # a 32-bit word leaves the high half of its 64-bit output buffered;
+    # the bit draws read the twin's next raw outputs, and the half stays
+    # buffered for the generator's next 32-bit word
+    stream = rng_stream(8, 2)
+    twin = _raw_twin(stream)
+    word = stream.generator.integers(0, 2**32, 1, dtype=np.uint32)
+    assert np.array_equal(word, np.random.Generator(twin).integers(0, 2**32, 1, dtype=np.uint32))
+    half = twin.state["uinteger"]
+    for count in (1, 33, 64, 100, 4097):
+        _check_bit_draws(stream, twin, count)
+        state = stream.generator.bit_generator.state
+        assert (state["has_uint32"], state["uinteger"]) == (1, half)
+        assert repr(state) == repr(twin.state)
+    assert stream.generator.integers(0, 2**32, 1, dtype=np.uint32) == half
 
 
 @pytest.mark.parametrize("rows", range(1, 9))
@@ -421,18 +460,17 @@ def test_lane_bytes_match_an_unpackbits_oracle(rows):
 @pytest.mark.parametrize("width", [1, 7, 8, 9, 297, 4097, 16385, 25000])
 def test_lane_bytes_read_whole_raw_outputs(width):
     # a draw of any rows <= 8 reads exactly ceil(width / 8) 64-bit outputs
-    # and leaves no 32-bit half buffered, so the next block is raw too and
-    # none falls onto integers
+    # and buffers no 32-bit half
     for rows in range(1, 9):
         stream = rng_stream(3, width)
         twin = _raw_twin(stream)
         for _ in range(2):
             lane_bytes = stream.lane_bytes(rows * width, rows)
-            assert stream._half is False
             assert lane_bytes.dtype == np.intp and lane_bytes.shape == (width,)
             assert np.all(lane_bytes >> rows == 0)
             twin.random_raw(-(-width // 8))
-            assert repr(stream._gen.bit_generator.state) == repr(twin.state)
+            assert repr(stream.generator.bit_generator.state) == repr(twin.state)
+            assert not twin.state["has_uint32"]
 
 
 def test_two_point_octets_expand_every_byte():
@@ -447,11 +485,13 @@ def test_two_point_octets_expand_every_byte():
 @pytest.mark.parametrize("size", [1, 7, 9, 31, 33, 100, 1001, 16385])
 def test_two_point_draws_match_a_bitwise_take(size):
     lo, hi = 0.3, 1.7
-    stream, twin = rng_stream(4, size), rng_stream(4, size)
+    stream = rng_stream(4, size)
+    twin = _raw_twin(stream)
     draws = stream.two_point(two_point_octets(lo, hi), size)
     assert draws.shape == (size,)
-    assert np.array_equal(draws, np.take(np.array([lo, hi]), twin.bits(size).view(np.uint8)))
-    assert stream.generator.integers(0, 2**32) == twin.generator.integers(0, 2**32)
+    flips = np.unpackbits(_twin_bytes(twin, size), count=size, bitorder="little")
+    assert np.array_equal(draws, np.take(np.array([lo, hi]), flips))
+    assert stream.generator.integers(0, 2**32) == np.random.Generator(twin).integers(0, 2**32)
 
 
 def test_stream_validation():

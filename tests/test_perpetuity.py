@@ -142,10 +142,9 @@ _TWO_POINT_MODELS = {
 @pytest.mark.parametrize("rows", [1, 8])
 @pytest.mark.parametrize("name", sorted(_TWO_POINT_MODELS))
 def test_two_point_pairs_match_pairs_from_means(name, rows):
-    """Under two-point noise the pairs come from octet tables, not from
-    drawn means; over ``rows`` successive draws they are bitwise the
-    means' pairs, and the stream reads on as after the means draws (the
-    words past each draw's padding included)."""
+    """Under two-point noise, over ``rows`` successive draws, the pairs
+    are bitwise those of the drawn means, and the stream reads on as after
+    the means draws (the bits past each draw's count included)."""
     model = _TWO_POINT_MODELS[name]()
     spec = from_environment(model)
     for width in (1, 31, 33, 4097):

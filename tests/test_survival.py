@@ -527,7 +527,8 @@ def _replay_inputs(model, rows, n, seed):
     family = model.family
     stream = rng_stream(seed, 0)
     if model.noise == "two_point":
-        bits = stream.bits((rows, n))
+        packed = stream.packed_bits(rows * n)
+        bits = np.unpackbits(packed, count=rows * n, bitorder="little").view(bool).reshape(rows, n)
         lo, hi = model.support_means()
         means = np.where(bits, hi, lo)
         table = family.step_coefficients(family.law_params(model.support_means()))
@@ -673,7 +674,7 @@ def test_gf_two_point_values_pinned():
     # n_max = 300 is not a multiple of 8: the last draw is unaligned
     res = estimate_survival_gf(make_environment("poisson", 0.05, 0.025), n_reps=512, seed=3, n_max=300)
     assert (res.estimate, res.std_error, res.n_flagged) == (
-        0.07159124754394972, 0.0017518550593582816, 432
+        0.07159021744177127, 0.001751902398568668, 433
     )
 
 
@@ -876,6 +877,43 @@ def test_replay_chunked_draws_read_the_stream_as_one_block(monkeypatch, noise, l
     assert whole[1].any()  # some lanes reach n_max, so every width is drawn
     for a, b in zip(whole, chunked):
         assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("budget", [None, 1 << 15])
+def test_unaligned_replay_draw_reads_whole_row_bytes(monkeypatch, budget):
+    """At n_max = 300 the last segment is 44 generations wide, 6 bytes a
+    row.  Row i of each segment holds bytes [i cols, (i + 1) cols) of the
+    stream's next raw outputs, the bits past the width cleared, and log_mu
+    adds exactly the row's high and low means, counted from an unpackbits
+    oracle.  A budget of 2**15 draws chunks of 32 rows."""
+    if budget is not None:
+        monkeypatch.setattr(_engines, "_MAX_BITS_BYTES", budget)
+    model = make_environment("poisson", 0.05, 0.025)
+    log_lo, log_hi = (math.log(m) for m in model.mean_bounds())
+    draw = _engines._draw_environment
+    draws = []
+
+    def spy(model, stream, env, log_mu, n, target, log_support):
+        before = stream.generator.bit_generator.state, log_mu.copy()
+        draw(model, stream, env, log_mu, n, target, log_support)
+        draws.append((before, env, log_mu.copy(), stream.generator.bit_generator.state, target - n))
+
+    monkeypatch.setattr(_engines, "_draw_environment", spy)
+    _engines.gf_replay_batch(model, 333, 4, 7, 1e-8, 1e-6, 300)
+    # 322 lanes are live at n = 256: their 1,932 bytes end inside a 64-bit output
+    assert [(env.shape, width) for _, env, _, _, width in draws] == [((333, 32), 256), ((322, 6), 44)]
+    for (state, log_mu), env, new_log_mu, after, width in draws:
+        twin = np.random.Philox()
+        twin.state = state
+        lanes, cols = env.shape
+        rows = twin.random_raw(-(-lanes * cols // 8)).astype("<u8").view(np.uint8)[:lanes * cols].reshape(lanes, cols)
+        assert repr(after) == repr(twin.state)
+        expected = rows.copy()
+        if width % 8:
+            expected[:, -1] &= (1 << width % 8) - 1
+        assert np.array_equal(env, expected)
+        n_hi = np.unpackbits(rows, axis=1, count=width, bitorder="little").sum(axis=1, dtype=np.int64)
+        assert new_log_mu.tobytes() == (log_mu + (n_hi * log_hi + (width - n_hi) * log_lo)).tobytes()
 
 
 def test_gf_never_falls_back_to_the_scalar_path(monkeypatch):

@@ -58,7 +58,7 @@ def test_gf_lf_batch_pinned(rho, digest, total):
     ("finite", "two_point", 100_000, "716a68c711373320feb5e18a67ab666b", 289.84030191787303),
     ("finite5", "two_point", 100_000, "10ac956646f9885f3b72b66d96d5609e", 147.67134253540547),
     ("poisson", "uniform", 100_000, "3b751eac5ddc8217fb2387256c4516b9", 144.61745167026555),
-    ("poisson", "two_point", 300, "e7f4f6fc3ee1f63f7379b4bc7a074522", 149.80065427138823),
+    ("poisson", "two_point", 300, "4aac5d1d03d18f3147b1e98f82b6c0eb", 149.79602957004835),
 ])
 def test_gf_replay_batch_pinned(family, noise, n_max, digest, total):
     # the values pin the replay's arithmetic lane by lane; the estimates
@@ -84,7 +84,7 @@ def test_sample_series_batch_pinned(family, eps, n, digest, total):
 
 def test_finite_two_point_population_pinned():
     res = simulate_population(make_environment("finite", 0.05, 0.025), n_reps=2000, seed=5)
-    assert (res.estimate, res.std_error, res.n_overrun) == (0.1435, 0.007841212744764315, 0)
+    assert (res.estimate, res.std_error, res.n_overrun) == (0.148, 0.007942262887230876, 0)
 
 
 def test_two_point_law_sample_pinned():
