@@ -563,7 +563,7 @@ def gf_scalar_path(model: EnvironmentModel, stream, tol_q: float, tol_mu: float,
 
 
 # ---------------------------------------------------------------------------
-# Population simulation by family-exact thinning
+# Population simulation by exact offspring sums
 # ---------------------------------------------------------------------------
 
 def _offspring_sum_poisson(gen, m, z):
@@ -581,28 +581,10 @@ def _offspring_sum_lf(gen, p0, p, z):
     return total
 
 
-def _binomial_fractions(weights):
-    """Per value v from the top of the support down to 1, the mass of v
-    over that of {0, ..., v} under each row of ``weights``."""
-    cum = np.cumsum(weights, axis=1)  # cum[:, v] = mass of {0, ..., v}
-    fractions = []
-    for value in range(weights.shape[1] - 1, 0, -1):
-        frac = np.zeros(weights.shape[0])
-        np.divide(weights[:, value], cum[:, value], out=frac, where=cum[:, value] > 1e-300)
-        fractions.append(np.clip(frac, 0.0, 1.0))
-    return fractions
-
-
-def _offspring_sum_finite(gen, fractions, z):
-    """Sum of z iid draws from per-lane finite pmfs, split by conditional
-    binomials with the chances ``fractions`` (:func:`_binomial_fractions`)."""
-    remaining = z.astype(np.int64).copy()
-    total = np.zeros(z.size, dtype=np.int64)
-    for value, frac in zip(range(len(fractions), 0, -1), fractions):
-        count = gen.binomial(remaining, frac)
-        total += value * count
-        remaining -= count
-    return total
+def _offspring_sum_finite(gen, weights, z):
+    """Sum of z iid draws from per-lane finite pmfs, the rows of
+    ``weights``: the value counts are one exact multinomial draw per lane."""
+    return gen.multinomial(z, weights) @ np.arange(weights.shape[1])
 
 
 def population_batch(
@@ -631,10 +613,9 @@ def population_batch(
     z = np.ones(n_lanes, dtype=np.int64)
     work = np.zeros(n_lanes, dtype=np.int64)
 
-    two_point_fractions = None
+    support_weights = None  # the (low, high) support laws' weight rows
     if family.name == "finite" and model.noise == TWO_POINT and model.nu > 0.0:
-        laws = np.array([model.law_for_mean(m).weights for m in model.support_means()])
-        two_point_fractions = _binomial_fractions(laws)
+        support_weights = np.array([model.law_for_mean(m).weights for m in model.support_means()])
 
     while idx.size:
         m = model.sample_means(stream, size=idx.size)
@@ -643,12 +624,11 @@ def population_batch(
         elif family.name == "linear_fractional":
             z = _offspring_sum_lf(gen, family.p0, 1.0 - (1.0 - family.p0) / m, z)
         else:
-            if two_point_fractions is not None:
-                high = m > (1.0 + model.epsilon)
-                fractions = [np.where(high, frac[1], frac[0]) for frac in two_point_fractions]
+            if support_weights is not None:
+                weights = support_weights[(m > 1.0 + model.epsilon).astype(np.intp)]
             else:
-                fractions = _binomial_fractions(family.tilted_weights(family.law_params(m)))
-            z = _offspring_sum_finite(gen, fractions, z)
+                weights = family.tilted_weights(family.law_params(m))
+            z = _offspring_sum_finite(gen, weights, z)
 
         work = work + z
         hit_cap = z >= cap

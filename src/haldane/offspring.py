@@ -200,19 +200,12 @@ class LinearFractional(_Law):
         return (1.0 - self.p0, 0.0, self.p, 1.0 - self.p)
 
     def sample(self, rng: RandomStream, size: int | None = None):
+        # numpy's geometric sampler is exact; its support {1, 2, ...} is the tail's
         gen = rng.generator
         n = 1 if size is None else size
-        u = gen.random(n)
+        tail = gen.random(n) >= self.p0
         draws = np.zeros(n, dtype=np.int64)
-        tail = u >= self.p0
-        if np.any(tail):
-            if self.p == 0.0:
-                draws[tail] = 1
-            else:
-                v = gen.random(int(np.count_nonzero(tail)))
-                # inverse CDF of the geometric tail on {1, 2, ...}; log1p
-                # keeps the argument strictly negative even when v == 0
-                draws[tail] = 1 + np.floor(np.log1p(-v) / math.log(self.p)).astype(np.int64)
+        draws[tail] = gen.geometric(1.0 - self.p, int(np.count_nonzero(tail)))
         return int(draws[0]) if size is None else draws
 
 
@@ -303,13 +296,10 @@ class FinitePmf(_Law):
         return self.second_factorial_moment() / (2.0 * m * m)
 
     def sample(self, rng: RandomStream, size: int | None = None):
-        cdf = np.cumsum(self.weights)
-        u = rng.generator.random(1 if size is None else size)
-        # the weights may sum to just under 1: a u above the last cumulative
-        # weight draws the largest value with positive weight
-        top = int(np.flatnonzero(self.weights)[-1])
-        draws = np.minimum(np.searchsorted(cdf, u, side="right"), top).astype(np.int64)
-        return int(draws[0]) if size is None else draws
+        # choice normalises its cumulative weights, so every uniform below 1
+        # lands on a value with positive weight
+        draw = rng.generator.choice(len(self.weights), size, p=self.weights)
+        return int(draw) if size is None else draw
 
 
 OffspringLaw = Poisson | LinearFractional | FinitePmf

@@ -74,9 +74,6 @@ class ConstantLaw:
     def mean(self) -> float:
         return self.value
 
-    def mean_sq(self) -> float:
-        return self.value**2
-
     def power_mean(self, u: float) -> float:
         return self.value**u
 
@@ -100,9 +97,6 @@ class TwoPointLaw:
 
     def mean(self) -> float:
         return 0.5 * (self.lo + self.hi)
-
-    def mean_sq(self) -> float:
-        return 0.5 * (self.lo**2 + self.hi**2)
 
     def power_mean(self, u: float) -> float:
         return 0.5 * (self.lo**u + self.hi**u)
@@ -182,16 +176,6 @@ class PerpetuitySpec:
         if self.model is not None:
             return self.model.mean_expectation(lambda m: self.model.law_for_mean(m).shape_at_one())
         return self.a_law.mean()
-
-    def b_mean(self) -> float:
-        if self.model is not None:
-            return self.model.inverse_moment(1.0)
-        return self.b_law.mean()
-
-    def b_mean_sq(self) -> float:
-        if self.model is not None:
-            return self.model.inverse_moment(2.0)
-        return self.b_law.mean_sq()
 
     def b_power_mean(self, u: float) -> float:
         if self.model is not None:
@@ -296,9 +280,9 @@ class PerpetuityRegime:
 
 def regime_of(spec: PerpetuitySpec) -> PerpetuityRegime:
     """Exact regime parameters of a coefficient specification."""
-    b_mean = spec.b_mean()
+    b_mean = spec.b_power_mean(1.0)
     beta = 1.0 - b_mean
-    gamma = max(0.0, spec.b_mean_sq() - b_mean * b_mean)
+    gamma = max(0.0, spec.b_power_mean(2.0) - b_mean * b_mean)
     rho_hat = beta / gamma if gamma > 0.0 else math.inf
     return PerpetuityRegime(beta=beta, gamma=gamma, rho_hat=rho_hat, alpha=spec.alpha())
 

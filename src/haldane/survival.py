@@ -320,7 +320,7 @@ def simulate_population(
     individuals and goes extinct at zero; misclassification from the
     finite cap is bounded by (1 - pi)^K.  Per-generation offspring sums
     are drawn from their exact family laws (Poisson, binomial plus
-    negative binomial, or a conditional-binomial multinomial chain), never
+    negative binomial, or one multinomial draw of the value counts), never
     from normal approximations.  A constant environment is a model with
     ``nu = 0``.  The model must be supercritical (epsilon > 0, rho < 2).
 

@@ -59,6 +59,17 @@ def test_survival_csv_roundtrip(tmp_path):
         assert cells[-3] == "50"  # n_reps in every row
 
 
+def test_survival_out_dash_writes_the_table_to_stdout(tmp_path, capsys):
+    cfg = _write(tmp_path / "sweep.cfg", SURVIVAL_CONFIG)
+    out = tmp_path / "a.csv"
+    assert main(["survival", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["survival", "--config", cfg, "--out", "-"]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0] == "# haldane survival"
+    assert [line for line in printed if not line.startswith("#")] == _body(out)
+
+
 LF_SWEEP_CONFIG = """
 family = linear_fractional
 p0 = 0.3

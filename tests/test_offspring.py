@@ -186,21 +186,37 @@ def test_poisson_sampling_mean_clt():
     assert abs(float(np.mean(draws)) - lam) <= 4.0 * math.sqrt(lam / n)
 
 
-class _TopStream:
-    """A stream whose uniforms all equal the largest double below 1."""
+class _TopGenerator(np.random.Generator):
+    """A generator whose uniforms all equal the largest double below 1."""
 
-    class generator:
-        @staticmethod
-        def random(size):
-            return np.full(size, 1.0 - 2.0**-53)
+    def random(self, size=None, dtype=np.float64, out=None):
+        return np.full(() if size is None else size, 1.0 - 2.0**-53)
+
+
+class _TopStream:
+    generator = _TopGenerator(np.random.Philox(0))
 
 
 @pytest.mark.parametrize("weights", [(0.5, 0.5 - 4e-13), (0.5, 0.5 - 4e-13, 0.0)])
 def test_finite_sample_stays_in_support(weights):
-    # the weights sum to just under 1, so u can exceed the last cumulative weight
+    # the weights sum to just under 1, so u can exceed the last cumulative
+    # weight; numpy's choice reads its uniforms through the overridden random
     law = FinitePmf(weights)
     assert law.sample(_TopStream()) == 1
     assert law.sample(_TopStream(), size=3).tolist() == [1, 1, 1]
+
+
+def test_lf_sample_without_tail_draws_zero_and_one():
+    draws = LinearFractional(0.3, 0.0).sample(rng_stream(2, 0), size=10_000)
+    assert set(np.unique(draws).tolist()) == {0, 1}
+    assert abs(float(np.mean(draws)) - 0.7) <= 5.0 * math.sqrt(0.21 / draws.size)
+
+
+def test_childless_law_never_survives():
+    # no weight beyond 0: the tail sum of no weights is zero, of the argument's shape
+    law = FinitePmf((1.0,))
+    assert law.survival_map(0.3) == 0.0
+    assert law.survival_map(np.array([0.0, 0.5, 1.0])).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_sample_scalar_types():

@@ -295,6 +295,13 @@ def test_limit_law_region_error():
         PerpetuityRegime(beta=-0.2, gamma=0.1, rho_hat=-2.0, alpha=1.0)
 
 
+@pytest.mark.parametrize("rho_hat", [-0.5, -3.0, math.nan])
+def test_limit_law_rejects_rho_hat_outside_its_domain(rho_hat):
+    # an admissible (beta, gamma) beside a rho_hat that no regime_of gives
+    with pytest.raises(InadmissibleRegimeError, match="outside"):
+        limit_law(PerpetuityRegime(beta=0.1, gamma=0.1, rho_hat=rho_hat, alpha=1.0))
+
+
 # ---------------------------------------------------------------------------
 # Contraction rate
 # ---------------------------------------------------------------------------
@@ -329,6 +336,12 @@ def test_contraction_rate_against_bounded_brent(name):
         assert u in (1e-6, 1.0 - 1e-6)
     else:
         assert u == pytest.approx(oracle.x, abs=1e-6)
+
+
+@pytest.mark.parametrize("b_law", [ConstantLaw(1.0), TwoPointLaw(1.0, 1.5)])
+def test_contraction_rate_rejects_discounts_never_below_one(b_law):
+    with pytest.raises(NonContractiveError, match="cannot be certified"):
+        contraction_rate(PerpetuitySpec(a_law=ConstantLaw(1.0), b_law=b_law))
 
 
 @pytest.mark.parametrize("eps, nu", [(0.02, 0.02), (0.05, 0.05), (0.01, 0.015), (0.001, 0.001)])
@@ -549,6 +562,13 @@ def test_default_burn_in_forgetting():
     u, theta = contraction_rate(spec)
     t = default_burn_in(spec)
     assert (spec.b_power_mean(u)) ** (t / u) < 1e-8
+
+
+def test_default_burn_in_of_a_zero_discount_is_one():
+    # E[B**u] = 0: the rate is infinite and the first step forgets the start
+    spec = PerpetuitySpec(a_law=ConstantLaw(0.7), b_law=ConstantLaw(0.0))
+    assert contraction_rate(spec)[1] == math.inf
+    assert default_burn_in(spec) == 1
 
 
 def test_chain_and_series_share_law():

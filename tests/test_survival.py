@@ -150,6 +150,16 @@ def test_identity_floor_random_paths():
         assert ident.identity_residual < 1e-9
 
 
+def test_identity_reports_underflowed_survival():
+    # the two weak generations take the survival below the smallest double
+    # (1e-400) before the strong first one scales it back up, while every
+    # mean product stays within range
+    ident = survival_identity(EnvPath.from_laws([Poisson(1e300), Poisson(1e-200), Poisson(1e-200)]))
+    assert ident.extinction_certain
+    assert ident.survival == 0.0 and math.isnan(ident.identity_residual)
+    assert ident.mean_inverse_tail == pytest.approx(1e100)
+
+
 def test_identity_detects_corrupted_shape(monkeypatch):
     """Dropping the mean-product term from the shape function must break
     the identity (mutation sensitivity of the central check)."""
@@ -601,6 +611,14 @@ def test_replay_engine_matches_scalar_oracle_per_lane(name, noise):
     assert any(flagged) and not all(flagged)
 
 
+def test_scalar_oracle_stops_at_certain_extinction():
+    # means 0.1 and 1.9: the log mean product after 256 generations is
+    # about -212 (sd 24), far below the extinction floor's log(1e-15)
+    model = make_environment("poisson", epsilon=0.0, nu=0.81)
+    for stream_id in range(5):
+        assert _engines.gf_scalar_path(model, rng_stream(3, stream_id), 1e-8, 1e-6, 100_000) == (0.0, False, 256)
+
+
 # nu = 0.2 puts the lower means below 1, where the bound needs its
 # -log lam_n: without it, it failed on about 5% of these lanes
 @pytest.mark.parametrize("nu, n", [(0.05, 20), (0.05, 301), (0.2, 20), (0.2, 60)])
@@ -986,6 +1004,61 @@ def test_population_lf_family_small():
     assert abs(gf.estimate - pop.estimate) <= 5.0 * joint
 
 
+def test_population_finite_uniform_noise_agrees_with_gf():
+    # one tilted weight row per lane and generation, as the replay's
+    # uniform-noise laws are
+    model = make_environment("finite", epsilon=0.05, nu=0.025, noise="uniform")
+    gf = estimate_survival_gf(model, n_reps=1000, seed=25)
+    pop = simulate_population(model, n_reps=4000, seed=26)
+    joint = math.hypot(gf.std_error, pop.std_error)
+    assert pop.n_overrun == 0
+    assert abs(gf.estimate - pop.estimate) <= 5.0 * joint
+
+
+def _pmf_moments(pmf):
+    """Mean, variance and fourth cumulant of a pmf on {0, 1, ...}."""
+    values = np.arange(len(pmf))
+    mean = float(np.dot(pmf, values))
+    central = [float(np.dot(pmf, (values - mean) ** k)) for k in (2, 4)]
+    return mean, central[0], central[1] - 3.0 * central[0] ** 2
+
+
+def _lf_pmf(p0, p, top=400):
+    return np.concatenate([[p0], (1.0 - p0) * (1.0 - p) * p ** np.arange(top)])
+
+
+def _finite_sum(weights):
+    return lambda gen, z: _engines._offspring_sum_finite(gen, np.tile(weights, (z.size, 1)), z)
+
+
+# (id, sum of z offspring counts per lane, one individual's offspring pmf)
+_KERNELS = [
+    ("poisson", lambda gen, z: _engines._offspring_sum_poisson(gen, np.full(z.size, 1.3), z),
+     [math.exp(-1.3) * 1.3**k / math.factorial(k) for k in range(60)]),
+    ("lf", lambda gen, z: _engines._offspring_sum_lf(gen, 0.3, np.full(z.size, 0.4), z), _lf_pmf(0.3, 0.4)),
+    ("lf-p0", lambda gen, z: _engines._offspring_sum_lf(gen, 0.3, np.zeros(z.size), z), _lf_pmf(0.3, 0.0)),
+    ("finite5", _finite_sum([0.1, 0.2, 0.3, 0.25, 0.15]), [0.1, 0.2, 0.3, 0.25, 0.15]),
+    ("finite-zero-top", _finite_sum([0.2, 0.5, 0.3, 0.0]), [0.2, 0.5, 0.3, 0.0]),
+]
+
+
+@pytest.mark.parametrize("z", [1, 5, 200])
+@pytest.mark.parametrize("kernel, pmf", [k[1:] for k in _KERNELS], ids=[k[0] for k in _KERNELS])
+def test_offspring_sum_kernels_match_their_moments(kernel, pmf, z):
+    """Each kernel's sums of z offspring counts have mean z m and variance
+    z sigma^2, within 5 sigma of the sample mean and variance."""
+    lanes = 20_000
+    sums = kernel(rng_stream(31, z).generator, np.full(lanes, z, dtype=np.int64))
+    assert sums.shape == (lanes,) and sums.dtype == np.int64 and sums.min() >= 0
+    mean, var, kappa4 = _pmf_moments(np.asarray(pmf, dtype=float))
+    assert abs(sums.mean() - z * mean) <= 5.0 * math.sqrt(z * var / lanes)
+    # Var(sample variance) ~ (mu4 - sigma^4) / n, with mu4 = kappa4 + 3 sigma^4 of the sum
+    spread = math.sqrt((z * kappa4 + 2.0 * (z * var) ** 2) / lanes)
+    assert abs(sums.var(ddof=1) - z * var) <= 5.0 * spread
+    if pmf[-1] == 0.0:
+        assert sums.max() <= z * (len(pmf) - 2)
+
+
 def test_population_deterministic_given_seed():
     model = make_environment("poisson", epsilon=0.1, nu=0.0)
     a = simulate_population(model, n_reps=5000, seed=77)
@@ -994,8 +1067,8 @@ def test_population_deterministic_given_seed():
 
 
 def test_two_point_population_chances_match_per_lane_weights(monkeypatch):
-    """Under two-point noise each lane selects the binomial chances of its
-    support law, bitwise those computed from a per-lane weight row."""
+    """Under two-point noise each lane's multinomial chances, its weight
+    row, are bitwise the weights of its support law."""
     model = make_environment("finite", 0.05, 0.025)
     laws = [np.asarray(model.law_for_mean(m).weights) for m in model.support_means()]
     means, seen = [], []
@@ -1005,20 +1078,18 @@ def test_two_point_population_chances_match_per_lane_weights(monkeypatch):
         means.append(sample_means(self, *args, **kwargs))
         return means[-1]
 
-    def record_chances(gen, fractions, z):
-        seen.append(fractions)
-        return offspring_sum(gen, fractions, z)
+    def record_weights(gen, weights, z):
+        seen.append(weights)
+        return offspring_sum(gen, weights, z)
 
     monkeypatch.setattr(type(model), "sample_means", record_means)
-    monkeypatch.setattr(_engines, "_offspring_sum_finite", record_chances)
+    monkeypatch.setattr(_engines, "_offspring_sum_finite", record_weights)
     _engines.population_batch(model, 500, 3, 0, 200, 10**6)
     assert len(seen) == len(means) > 5
-    for m, fractions in zip(means, seen):
-        weights = np.where((m > 1.05)[:, None], laws[1], laws[0])
-        cum = np.cumsum(weights, axis=1)
-        for value, frac in zip((2, 1), fractions):
-            expected = np.clip(weights[:, value] / cum[:, value], 0.0, 1.0)
-            assert frac.tobytes() == expected.tobytes()
+    for m, weights in zip(means, seen):
+        assert weights.shape == (m.size, 3)
+        for mean, row in zip(m, weights):
+            assert row.tobytes() == laws[int(mean > 1.05)].tobytes()
 
 
 # ---------------------------------------------------------------------------
