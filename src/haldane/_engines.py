@@ -12,12 +12,13 @@ environment runs one lane of its family's route):
 * for linear-fractional families, the reciprocal-survival identity as an
   annuity sum (:func:`gf_lf_batch`) in :func:`annuity_batch`, the kernel
   that the perpetuity series sampler shares.  It advances every live lane
-  once per ``_CHECK_EVERY`` generations, then tests the stopping rule
-  (LF forms its increment only below ``tol_mu``).  Under two-point noise
-  an advance is a handful of numpy calls at any width (a raw read of
-  64-bit stream outputs whose byte i is lane i's, a cast to intp, two or
-  three :func:`annuity_byte_tables` lookups), otherwise one draw and step
-  per generation;
+  by one check interval, which its caller sets (``_LF_CHECK_EVERY`` = 8
+  generations for LF, 64 terms for the series), then tests the stopping
+  rule (LF forms its increment only below ``tol_mu``).  Under two-point
+  noise an advance is a handful of numpy calls per 8 generations at any
+  width (a raw read of 64-bit stream outputs whose byte i is lane i's, a
+  cast to intp, two or three :func:`annuity_byte_tables` lookups),
+  otherwise one draw and step per generation;
 * for every other family under either noise kind, a block-doubling
   backward replay over an append-only environment log (:class:`_EnvLog`:
   packed stream bits under two-point noise, one law parameter per
@@ -57,9 +58,10 @@ BATCH_SIZE = 16384
 # by the remaining survival mass, so stopping here is exact to 1e-15.
 EXTINCTION_FLOOR = 1e-15
 
-# Generations per advance of the annuity kernel (fewer at its horizon
-# cap); it tests its stopping rule after each advance.
-_CHECK_EVERY = 8
+# Generations per check interval of the LF kernel (fewer at its horizon
+# cap).  Its tol_mu rule at rho > 2 depends on when it is tested, so the
+# interval stays short (ROADMAP item 2).
+_LF_CHECK_EVERY = 8
 
 
 # Storage guard for the replay engine's environment log (bytes per batch):
@@ -78,20 +80,23 @@ class HorizonStorageError(RuntimeError):
 # Annuity sums: the LF survival kernel and the perpetuity series
 # ---------------------------------------------------------------------------
 
-def annuity_batch(n_lanes: int, n_max: int, advance, stop):
+def annuity_batch(n_lanes: int, n_max: int, every: int, advance, stop):
     """Run ``n_lanes`` annuity sums ``acc = sum_k c_k a_{k+1}``, each lane
     to its own stopping generation or to ``n_max``.
 
     Each lane carries the running sum ``acc`` (from 0) and the discount
     ``c`` (from 1).  Once per check interval, ``advance(acc, c, rows)``
-    draws the interval's ``rows`` generations (``_CHECK_EVERY``, or those
-    left to ``n_max``) for the live lanes and returns ``(acc, c, prev)``:
-    the advanced arrays (in place or new) and ``prev``, which maps an index
+    draws the interval's ``rows`` generations (``every``, or those left
+    to ``n_max``) for the live lanes and returns ``(acc, c, prev)``: the
+    advanced arrays (in place or new) and ``prev``, which maps an index
     array of lanes to their sums one generation before the last (None if
     ``stop`` does not read them).  ``stop(acc, c, prev)`` then returns the
-    done mask of the live lanes, so a lane runs at most ``_CHECK_EVERY -
-    1`` generations past its first eligible stop.  Done lanes retire with
+    done mask of the live lanes, so a lane runs at most ``every - 1``
+    generations past its first eligible stop.  Done lanes retire with
     their sum; lanes still live at ``n_max`` keep theirs and are flagged.
+    A longer interval pays the fixed cost of a check (the draw call,
+    ``stop``, the retirement) less often, and fits a rule that a later
+    check only tightens, such as the series' tail bound.
 
     Returns (values, flagged mask) as arrays of length n_lanes.
     """
@@ -105,7 +110,7 @@ def annuity_batch(n_lanes: int, n_max: int, advance, stop):
 
     n = 0
     while idx.size and n < n_max:
-        rows = min(_CHECK_EVERY, n_max - n)
+        rows = min(every, n_max - n)
         acc, c, prev = advance(acc, c, rows)
         n += rows
         done = stop(acc, c, prev)
@@ -147,27 +152,39 @@ def annuity_byte_tables(a_clear: float, b_clear: float, a_set: float, b_set: flo
 
 def byte_step(tables, draw, scratch: np.ndarray, with_prev: bool):
     """An :func:`annuity_batch` advance over lane bytes, through the
-    :func:`annuity_byte_tables` pair ``tables``: ``draw(rows, lanes)``
-    returns one byte per live lane whose bit j selects the pair of
-    generation j, and the ``rows`` generations cost two table lookups per
-    lane whatever ``rows`` is.  ``with_prev`` it writes new arrays, whose
-    ``prev`` looks the sums one generation before the last up from the
-    interval's starting arrays on the lanes asked for; otherwise it works
-    in place.  ``scratch`` holds a float64 per lane."""
+    :func:`annuity_byte_tables` pair ``tables``.  ``with_prev`` (LF, at
+    most 8 generations per interval) ``draw(rows, lanes)`` returns one
+    intp byte per live lane whose bit j selects the pair of generation j;
+    the advance writes new arrays, whose ``prev`` looks the sums one
+    generation before the last up from the interval's starting arrays on
+    the lanes asked for.  Otherwise (the series, any ``rows``) it returns
+    ``ceil(rows / 8)`` uint8 rows of lane bytes, row r's bit j selecting
+    the pair of generation 8 r + j, and the advance works in place,
+    casting one row at a time to intp into a buffer kept for the whole
+    run.  Either way a row of 8 generations costs two table lookups per
+    lane.  ``scratch`` holds a float64 per lane."""
     sums, products = tables
+    index = None if with_prev else np.empty(scratch.size, dtype=np.intp)
 
     def advance(acc, c, rows):
         block = draw(rows, c.size)
+        term = scratch[:c.size]
         # byte indices never clip; "clip" lets take write into out unbuffered
-        term = sums[rows].take(block, out=scratch[:c.size], mode="clip")
-        term *= c
         if with_prev:
+            sums[rows].take(block, out=term, mode="clip")
+            term *= c
             acc_new = acc + term
             products[rows].take(block, out=term, mode="clip")
             return acc_new, c * term, lambda lanes: c[lanes] * sums[rows - 1][block[lanes]] + acc[lanes]
-        acc += term
-        products[rows].take(block, out=term, mode="clip")
-        c *= term
+        lane = index[:c.size]
+        for r, row in enumerate(block):
+            w = min(8, rows - 8 * r)
+            np.copyto(lane, row)
+            sums[w].take(lane, out=term, mode="clip")
+            term *= c
+            acc += term
+            products[w].take(lane, out=term, mode="clip")
+            c *= term
         return acc, c, None
 
     return advance
@@ -229,7 +246,7 @@ def gf_lf_batch(
             return model.sample_means(stream, rows * lanes, rows, packed=True)
 
         advance = byte_step(tables, draw, np.empty(n_lanes), with_prev=True)
-        values, flags = annuity_batch(n_lanes, n_max, advance, stop)
+        values, flags = annuity_batch(n_lanes, n_max, _LF_CHECK_EVERY, advance, stop)
         return survival(values), flags
 
     mean = 1.0 + model.epsilon if model.nu == 0.0 else None
@@ -242,7 +259,7 @@ def gf_lf_batch(
             discount /= model.sample_means(stream, discount.size) if mean is None else mean
         return total, discount, prev.__getitem__
 
-    values, flags = annuity_batch(n_lanes, n_max, advance, stop)
+    values, flags = annuity_batch(n_lanes, n_max, _LF_CHECK_EVERY, advance, stop)
     return survival(values), flags
 
 

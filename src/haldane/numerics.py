@@ -65,18 +65,26 @@ def _reg_gamma(a, x):
     where x < a + 1, else the Lentz continued fraction of Q, times
     x**a e**-x / Gamma(a) (its log in Stirling form where a >= 10 and
     |x - a| <= 0.4 a).  A lane retires at the first multiple of 8 terms
-    where its term / sum or |delta - 1| is at most 2**-53."""
-    if np.any(np.asarray(a) <= 0.0):
-        raise ValueError(f"shape parameter must be positive, got a={a}")
-    if np.any(np.asarray(x) < 0.0):
-        raise ValueError(f"argument must be nonnegative, got x={x}")
-    a = np.asarray(a, dtype=float)
-    a, lg, x = np.broadcast_arrays(a, np.vectorize(math.lgamma, otypes=[float])(a), np.asarray(x, dtype=float))
-    shape, a, lg, x = x.shape, a.ravel(), lg.ravel(), x.ravel()
+    where its term / sum or |delta - 1| is at most 2**-53.
+
+    The fixed cost per call is kept low, as the 100-point fits call it
+    with few points: the fraction's 8 coefficients of a round are formed
+    at once and its updates work in place, and the retirement and Stirling
+    steps run only where some lane takes them."""
+    a_in, x_in = a, x
+    a, x = np.asarray(a, dtype=float), np.asarray(x, dtype=float)
+    if np.any(a <= 0.0):
+        raise ValueError(f"shape parameter must be positive, got a={a_in}")
+    if np.any(x < 0.0):
+        raise ValueError(f"argument must be nonnegative, got x={x_in}")
+    shape = np.broadcast_shapes(a.shape, x.shape)
+    lg = np.array([math.lgamma(v) for v in a.flat]).reshape(a.shape)
+    a, lg, x = (np.broadcast_to(v, shape).ravel() for v in (a, lg, x))
     p = np.where(x == 0.0, 0.0, np.where(x == np.inf, 1.0, np.nan))  # nan inputs stay nan
     q = 1.0 - p
-    series = np.flatnonzero((x > 0.0) & (x < a + 1.0))
-    fraction = np.flatnonzero((x >= a + 1.0) & (x < np.inf))
+    lower = x < a + 1.0
+    series = np.flatnonzero(lower & (x > 0.0))
+    fraction = np.flatnonzero(~lower & (x < np.inf))
     lanes, x_l, ak, total = series, x[series], a[series], 1.0 / a[series]
     term = total.copy()
     while lanes.size:
@@ -86,31 +94,40 @@ def _reg_gamma(a, x):
             term /= ak
             total += term
         done = term <= 2.0**-53 * total
-        p[lanes[done]] = total[done]
-        lanes, x_l, ak, term, total = (v[~done] for v in (lanes, x_l, ak, term, total))
+        if done.any():
+            p[lanes[done]] = total[done]
+            keep = ~done
+            lanes, x_l, ak, term, total = lanes[keep], x_l[keep], ak[keep], term[keep], total[keep]
     lanes, a_l, b = fraction, a[fraction], x[fraction] + 1.0 - a[fraction]
-    h = d = 1.0 / b
-    c, k = np.inf, 0
+    h = 1.0 / b
+    d, c, delta, k = h.copy(), np.full(lanes.size, np.inf), np.empty(lanes.size), 0.0
     while lanes.size:
-        for _ in range(8):
-            k += 1
-            an = k * (a_l - k)
+        ks = np.arange(k + 1.0, k + 9.0)[:, None]
+        k += 8.0
+        for an in ks * (a_l - ks):
             b += 2.0
-            d = 1.0 / (an * d + b)
-            c = b + an / c
-            delta = c * d
-            h = h * delta
+            d *= an  # d = 1 / (an d + b)
+            d += b
+            np.divide(1.0, d, out=d)
+            np.divide(an, c, out=c)  # c = b + an / c
+            c += b
+            np.multiply(c, d, out=delta)
+            h *= delta
         done = np.abs(delta - 1.0) <= 2.0**-53
-        q[lanes[done]] = h[done]
-        lanes, a_l, b, h, d, c = (v[~done] for v in (lanes, a_l, b, h, d, c))
+        if done.any():
+            q[lanes[done]] = h[done]
+            keep = ~done
+            lanes, a_l, b, h, d, c, delta = (v[keep] for v in (lanes, a_l, b, h, d, c, delta))
     lanes = np.concatenate([series, fraction])
     a, x = a[lanes], x[lanes]
     log_pre = a * np.log(x) - x - lg[lanes]
     near = np.flatnonzero((a >= 10.0) & (np.abs(x - a) <= 0.4 * a))
-    a, t = a[near], (x[near] - a[near]) / a[near]
-    log_pre[near] = np.log(a / (2 * np.pi)) / 2 - np.polyval(_STIRLING, 1 / (a * a)) / a + a * (np.log1p(t) - t)
-    p[series] *= np.exp(log_pre[:series.size])
-    q[fraction] *= np.exp(log_pre[series.size:])
+    if near.size:
+        a, t = a[near], (x[near] - a[near]) / a[near]
+        log_pre[near] = np.log(a / (2 * np.pi)) / 2 - np.polyval(_STIRLING, 1 / (a * a)) / a + a * (np.log1p(t) - t)
+    pre = np.exp(log_pre)
+    p[series] *= pre[:series.size]
+    q[fraction] *= pre[series.size:]
     q[series], p[fraction] = 1.0 - p[series], 1.0 - q[fraction]
     return p.reshape(shape)[()], q.reshape(shape)[()]
 
@@ -367,7 +384,8 @@ class RandomStream:
     def lane_bytes(self, size: int, rows: int = 1) -> np.ndarray:
         """Next fair coin flips for ``rows <= 8`` rows of ``width = size //
         rows`` lanes, read lane-major: an intp array of one byte per lane
-        whose bit j is the lane's flip in row j.
+        whose bit j is the lane's flip in row j (the draw of one LF check
+        interval; :meth:`lane_byte_rows` draws more rows at once).
 
         Lane i's byte is byte i of ``ceil(width / 8)`` whole 64-bit stream
         outputs (:meth:`packed_bits` of ``64 * ceil(width / 8)`` flips), so
@@ -378,6 +396,24 @@ class RandomStream:
         block = self.packed_bits(64 * -(-width // 8))[:width].astype(np.intp)
         if rows < 8:
             block &= (1 << rows) - 1
+        return block
+
+    def lane_byte_rows(self, size: int, rows: int) -> np.ndarray:
+        """Next fair coin flips for ``rows`` rows of ``width = size //
+        rows`` lanes, as ``ceil(rows / 8)`` rows of lane bytes: a uint8
+        array whose row r holds, for each lane, the byte whose bit j is
+        the lane's flip in row ``8 r + j``.
+
+        One :meth:`packed_bits` call reads ``ceil(rows / 8)`` groups of
+        ``ceil(width / 8)`` whole 64-bit outputs; row r, lane i is byte i
+        of group r, so row 0 is what :meth:`lane_bytes` reads.  The bits
+        from ``rows`` on, drawn but unused, are cleared.
+        """
+        width = size // rows
+        groups, cols = -(-rows // 8), 8 * -(-width // 8)
+        block = self.packed_bits(8 * groups * cols).reshape(groups, cols)[:, :width]
+        if rows % 8:
+            block[-1] &= (1 << rows % 8) - 1
         return block
 
 

@@ -211,16 +211,17 @@ class PerpetuitySpec:
 
         An environment's pairs map ``model.sample_means`` draws (a Poisson
         A, equal at every mean, is broadcast); scalar laws draw A, then B.
-        Only ``packed`` draws (two-point noise with ``nu > 0``, ``rows <=
-        8``) take ``rows``: the pairs of ``rows`` terms of ``size // rows``
-        lanes come back as one stream byte per lane whose bit j selects the
-        pair of term j (:meth:`RandomStream.lane_bytes`), for
-        :meth:`byte_tables`.
+        Only ``packed`` draws (two-point noise with ``nu > 0``) take
+        ``rows``: the pairs of ``rows`` terms of ``size // rows`` lanes
+        come back as ``ceil(rows / 8)`` rows of one stream byte per lane,
+        row r's bit j selecting the pair of term 8 r + j
+        (:meth:`RandomStream.lane_byte_rows`, one stream read for all the
+        rows), for :meth:`byte_tables`.
         """
         if packed:
             if self._support_pairs is None:
                 raise ValueError("packed pairs need an environment with two-point noise and nu > 0")
-            return rng.lane_bytes(size, rows)
+            return rng.lane_byte_rows(size, rows)
         if rows != 1:
             raise ValueError(f"only packed pairs take rows > 1, got rows = {rows}")
         if self.model is not None:
@@ -353,6 +354,13 @@ def contraction_rate(spec: PerpetuitySpec) -> tuple[float, float]:
 # Samplers
 # ---------------------------------------------------------------------------
 
+# Terms per check interval of the series (fewer at k_max).  Its rule c <
+# c_tol bounds the expected discarded tail whenever it holds, so a later
+# check only adds terms; 64 terms pay the fixed cost of a check 8 times
+# less often than 8 would, with half the overshoot of 128 at about its
+# speed.
+_SERIES_CHECK_EVERY = 64
+
 def sample_series_batch(
     spec: PerpetuitySpec,
     n: int,
@@ -364,20 +372,22 @@ def sample_series_batch(
     """``n`` draws of the series by direct partial summation.
 
     Each lane runs ``acc += C_k * A_{k+1}; C_{k+1} = C_k * B_{k+1}`` in
-    :func:`haldane._engines.annuity_batch`, which sets how often the rule
-    is tested.  A lane stops once C_k * sup(A) / (1 - exp(-theta)) < tol
-    with theta the spec's contraction rate, so the discarded tail is below
-    ``tol`` in expectation; lanes still live at ``k_max`` are flagged.
+    :func:`haldane._engines.annuity_batch` and tests its rule every
+    ``_SERIES_CHECK_EVERY`` = 64 terms: it stops at the first check where
+    C_k * sup(A) / (1 - exp(-theta)) < tol, with theta the spec's
+    contraction rate, so the discarded tail is below ``tol`` in
+    expectation (and the up to 63 terms past the first eligible stop only
+    shrink it); lanes still live at ``k_max`` are flagged.
 
     Under two-point noise (where :meth:`PerpetuitySpec.byte_tables` has
-    tables) each check interval is one ``sample_pairs`` draw of lane
-    bytes, and a lane advances by the whole interval as ``acc +=
-    c*T_sum[b]; c *= T_prod[b]``, rounding once per interval; otherwise
+    tables) each check interval is one ``sample_pairs`` draw of 8 rows of
+    lane bytes, and a lane advances by 8 terms per row as ``acc +=
+    c*T_sum[b]; c *= T_prod[b]``, rounding once per 8 terms; otherwise
     each term is one ``sample_pairs`` draw.  A lane-byte draw reads
-    ``ceil(lanes / 8)`` 64-bit stream outputs per interval, where a term's
-    draw reads a stream bit per lane.  A constant spec runs one lane and
-    repeats it: every lane would do the same arithmetic, and its pairs read
-    no stream words.
+    ``8 * ceil(lanes / 8)`` 64-bit stream outputs per interval, where a
+    term's draw reads a stream bit per lane.  A constant spec runs one lane
+    and repeats it: every lane would do the same arithmetic, and its pairs
+    read no stream words.
     """
     if not (0.0 < tol < math.inf):
         raise ValueError(f"tol must lie in (0, inf), got {tol}")
@@ -396,7 +406,8 @@ def sample_series_batch(
         def draw(rows, width):
             return spec.sample_pairs(rng, rows * width, rows, packed=True)
 
-        return annuity_batch(lanes, k_max, byte_step(tables, draw, term, with_prev=False), stop)
+        advance = byte_step(tables, draw, term, with_prev=False)
+        return annuity_batch(lanes, k_max, _SERIES_CHECK_EVERY, advance, stop)
 
     def advance(acc, c, rows):
         out = term[:c.size]
@@ -407,7 +418,7 @@ def sample_series_batch(
             c *= b
         return acc, c, None
 
-    values, flags = annuity_batch(lanes, k_max, advance, stop)
+    values, flags = annuity_batch(lanes, k_max, _SERIES_CHECK_EVERY, advance, stop)
     return (values, flags) if lanes == n else (np.repeat(values, n), np.repeat(flags, n))
 
 

@@ -153,8 +153,10 @@ class SurvivalIdentity:
     ``shape_series`` is the weighted shape sum over generations,
     ``mean_inverse_tail`` the reciprocal of the final mean product; their
     sum reproduces 1/(1 - q_0) up to ``identity_residual`` (relative).
-    When the path's conditional survival underflows to zero the residual
-    is not computable and ``extinction_certain`` is set instead.
+    When the path's conditional survival underflows to zero, or a mean
+    product falls below the doubles (the survival is at most that product,
+    and the reciprocal overflows to inf), the residual is not computable
+    and ``extinction_certain`` is set instead.
     """
 
     shape_series: float
@@ -164,19 +166,24 @@ class SurvivalIdentity:
     extinction_certain: bool
 
 
+def _exp_or_inf(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def survival_identity(path: EnvPath) -> SurvivalIdentity:
     r = _backward_survival(path)
-    terms = [
-        math.exp(-path.cum_log_mean[k]) * path.laws[k].shape_from_survival(r[k + 1])
-        for k in range(path.n)
-    ]
+    inverse_means = [_exp_or_inf(-log_mu) for log_mu in path.cum_log_mean]
+    terms = [inverse_means[k] * path.laws[k].shape_from_survival(r[k + 1]) for k in range(path.n)]
     shape_series = math.fsum(terms)
-    tail = math.exp(-path.cum_log_mean[path.n])
-    if r[0] == 0.0:
+    tail = inverse_means[path.n]
+    if r[0] == 0.0 or not math.isfinite(shape_series + tail):
         return SurvivalIdentity(
             shape_series=shape_series,
             mean_inverse_tail=tail,
-            survival=0.0,
+            survival=float(r[0]),
             identity_residual=math.nan,
             extinction_certain=True,
         )

@@ -27,9 +27,9 @@ from haldane import (
     regime_of,
     rng_stream,
 )
-from haldane._engines import _CHECK_EVERY
 from haldane.numerics import ks_threshold
 from haldane.perpetuity import (
+    _SERIES_CHECK_EVERY,
     NonContractiveError,
     _limit_shape_values,
     contraction_rate,
@@ -160,26 +160,31 @@ def test_two_point_pairs_match_pairs_from_means(name, rows):
 
 @pytest.mark.parametrize("name", sorted(_TWO_POINT_MODELS))
 def test_packed_pairs_step_as_the_pairs_do(name):
-    """Packed pairs are the model's lane bytes, and the byte tables hold,
-    bitwise, what w one-term steps from (sum, discount) = (0, 1) give over
-    the lane's block of w terms.  The terms come from the same stream words
-    read lane-major: 8 float pairs per lane, reshaped to (lanes, 8), hold
-    lane i's terms in row i, and reading them uses the stream as the lane
-    bytes do."""
+    """Packed pairs are ceil(rows / 8) rows of lane bytes, row 0 the
+    model's lane bytes, and the byte tables hold, bitwise, what w one-term
+    steps from (sum, discount) = (0, 1) give over a row's block of w
+    terms.  The terms come from the same stream words read lane-major: 8
+    float pairs per lane, reshaped to (lanes, 8), hold lane i's terms of
+    the row in row i, and reading them uses the stream as the lane bytes
+    do."""
     model = _TWO_POINT_MODELS[name]()
     spec = from_environment(model)
     sums, products = spec.byte_tables()
-    for rows in range(1, 9):
+    for rows in (*range(1, 10), 20, 63, 64):
         rng, twin = rng_stream(16, rows), rng_stream(16, rows)
         lane_bytes = spec.sample_pairs(rng, rows * 4097, rows, packed=True)
-        assert np.array_equal(lane_bytes, model.sample_means(twin, rows * 4097, rows, packed=True))
+        assert lane_bytes.shape == (-(-rows // 8), 4097)
+        assert np.array_equal(lane_bytes[0], model.sample_means(twin, min(rows, 8) * 4097, min(rows, 8), packed=True))
         one_term = rng_stream(16, rows)
-        a, b = (x.reshape(-1, 8)[:4097] for x in spec.sample_pairs(one_term, 64 * -(-4097 // 8)))
-        acc, c = np.zeros(4097), np.ones(4097)
-        for j in range(rows):
-            acc, c = acc + c * a[:, j], c * b[:, j]
-        assert np.array_equal(sums[rows][lane_bytes], acc)
-        assert np.array_equal(products[rows][lane_bytes], c)
+        for r, row in enumerate(lane_bytes):
+            w = min(8, rows - 8 * r)
+            a, b = (x.reshape(-1, 8)[:4097] for x in spec.sample_pairs(one_term, 64 * -(-4097 // 8)))
+            acc, c = np.zeros(4097), np.ones(4097)
+            for j in range(w):
+                acc, c = acc + c * a[:, j], c * b[:, j]
+            assert np.all(row >> w == 0)
+            assert np.array_equal(sums[w][row], acc)
+            assert np.array_equal(products[w][row], c)
         next_words = (r.generator.integers(0, 2**32, 4, dtype=np.uint32) for r in (rng, one_term))
         assert np.array_equal(*next_words)
 
@@ -192,15 +197,15 @@ def test_packed_pairs_need_a_two_point_environment():
 
 
 def test_series_peak_memory_per_lane_plus_two_blocks():
-    """25,000 lanes draw 8 terms per call.  The traced peak stays within
+    """25,000 lanes draw 64 terms per call.  The traced peak stays within
     one float64 row of A and of B plus 64 bytes per lane, the bound of
-    pairs drawn one term at a time; a two-point spec draws one byte per
+    pairs drawn one term at a time; a two-point spec draws 8 bytes per
     lane instead, and stays within 96 bytes per lane: its state (values,
-    flags, index, discount, sum and term, 41 bytes), the draw (a stream
-    byte and an intp lane byte, 9 bytes) and the masks and compacted
+    flags, index, discount, sum and term, 41 bytes), the intp row buffer
+    (8 bytes), the draw (8 stream bytes) and the masks and compacted
     copies of a retirement.
     One live float64 block (64 bytes per lane at 8 rows) would pass that
-    bound."""
+    bound, but not the 8 rows cast to intp as one block."""
     lanes = 25_000
     spec = from_environment(make_environment("linear_fractional", 0.05, 0.05))
     sample_series_batch(spec, 64, rng_stream(9, 0))  # first-use allocations
@@ -432,12 +437,16 @@ def test_series_mean_identity_random_spec():
 
 def _series_one_term_per_draw(spec, n, rng, *, k_max=200_000):
     """The series sampler stepping one term at a time (the loop the block
-    draws replaced), at the default tolerance.  Specs without byte tables
-    draw each term by ``sample_pairs``.  A two-point spec reads the stream
-    lane-major, as its block draws do: each check interval unpacks
-    ceil(live / 8) raw 64-bit outputs of ``rng`` into a (live, 8) bit
-    array whose bit (i, j) selects lane i's support mean for the
-    interval's term j, mapped to its pair by :func:`_pairs_from_means`."""
+    draws replaced), at the default tolerance, testing the rule every 64
+    terms.  Specs without byte tables draw each term by ``sample_pairs``.
+    A two-point spec reads the stream lane-major, as its block draws do:
+    each 64-term check interval unpacks 8 * ceil(live / 8) raw 64-bit
+    outputs of ``rng`` as 8 groups of ceil(live / 8) into an (8, live, 8)
+    bit array whose bit (r, i, j) selects lane i's support mean for the
+    interval's term 8 r + j, mapped to its pair by
+    :func:`_pairs_from_means`; an interval cut short by ``k_max`` reads
+    only the groups it needs."""
+    every = 64
     _, theta = contraction_rate(spec)
     tail_scale = spec.a_upper() if math.isinf(theta) else spec.a_upper() / (-math.expm1(-theta))
     c_tol = 1e-6 / max(tail_scale, 1e-300)
@@ -454,13 +463,15 @@ def _series_one_term_per_draw(spec, n, rng, *, k_max=200_000):
         if not lane_major:
             a, b = spec.sample_pairs(rng, idx.size)
         else:
-            if (k - 1) % _CHECK_EVERY == 0:
-                raw = bit_generator.random_raw(-(-idx.size // 8)).astype("<u8").view(np.uint8)
-                flips = np.unpackbits(raw, bitorder="little").reshape(-1, 8)[:idx.size]
-            a, b = (x.take(flips[:, (k - 1) % _CHECK_EVERY]) for x in support)
+            t = (k - 1) % every
+            if t == 0:
+                groups = -(-min(every, k_max - k + 1) // 8)
+                raw = bit_generator.random_raw(groups * -(-idx.size // 8)).astype("<u8").view(np.uint8)
+                flips = np.unpackbits(raw, bitorder="little").reshape(groups, -1, 8)[:, :idx.size]
+            a, b = (x.take(flips[t // 8, :, t % 8]) for x in support)
         acc += c * a
         c *= b
-        if k % _CHECK_EVERY and k < k_max:
+        if k % every and k < k_max:
             continue
         done = c < c_tol
         if np.any(done):
@@ -486,10 +497,10 @@ _ORACLE_SPECS = {
 }
 
 
-@pytest.mark.parametrize("k_max", [5, 21, 200_000])
+@pytest.mark.parametrize("k_max", [5, 21, 100, 200_000])
 @pytest.mark.parametrize("name", sorted(_ORACLE_SPECS))
 def test_series_block_draws_match_one_term_per_draw(name, k_max):
-    # k_max = 5 and 21 cut the last block short.  Two-point environments
+    # k_max = 5, 21 and 100 cut the last block short.  Two-point environments
     # step whole blocks through byte tables, which round once per block,
     # so their values match to rounding; the other specs' float rows match
     # bitwise.  Flags and stream use match exactly
@@ -504,6 +515,47 @@ def test_series_block_draws_match_one_term_per_draw(name, k_max):
         assert np.array_equal(flags, ref_flags)
         next_words = (r.generator.integers(0, 2**32, 4, dtype=np.uint32) for r in (rng, ref_rng))
         assert np.array_equal(*next_words)
+
+
+@pytest.mark.parametrize("k_max", [100, 200_000])
+@pytest.mark.parametrize("name", ["poisson", "lf", "poisson-uniform", "scalar"])
+def test_series_lanes_stop_every_64_terms_below_the_tail_bound(monkeypatch, name, k_max):
+    """Every lane stops at a multiple of 64 terms with its discount below
+    the tail bound's c_tol, or runs to k_max; a lane checked above c_tol
+    runs on.  The checks are observed through the kernel's advance and
+    stop, counting the terms drawn since the start."""
+    spec = _ORACLE_SPECS[name]()
+    _, theta = contraction_rate(spec)
+    c_tol = 1e-6 / (spec.a_upper() / (-math.expm1(-theta)))
+    checks = []
+
+    def observed(n_lanes, n_max, every, advance, stop):
+        terms = [0]
+
+        def counted(acc, c, rows):
+            terms[0] += rows
+            return advance(acc, c, rows)
+
+        def checked(acc, c, prev):
+            done = stop(acc, c, prev)
+            checks.append((terms[0], c.copy(), done.copy()))
+            return done
+
+        return annuity_batch(n_lanes, n_max, every, counted, checked)
+
+    annuity_batch = perpetuity.annuity_batch
+    monkeypatch.setattr(perpetuity, "annuity_batch", observed)
+    n = 4097
+    _, flags = sample_series_batch(spec, n, rng_stream(5, 2), k_max=k_max)
+    stopped = 0
+    for terms, c, done in checks:
+        assert terms % _SERIES_CHECK_EVERY == 0 or terms == k_max
+        assert np.array_equal(done, c < c_tol)
+        stopped += np.count_nonzero(done)
+    assert _SERIES_CHECK_EVERY == 64
+    assert checks[-1][0] <= k_max
+    assert stopped == n - np.count_nonzero(flags)
+    assert (checks[-1][0] == k_max) == bool(flags.any())
 
 
 @pytest.mark.parametrize(

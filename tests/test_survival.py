@@ -160,6 +160,21 @@ def test_identity_reports_underflowed_survival():
     assert ident.mean_inverse_tail == pytest.approx(1e100)
 
 
+@pytest.mark.parametrize("laws, tail_overflows", [
+    ([Poisson(0.5)] * 1100, True),  # the reciprocal mean product 2**1025 overflows at generation 1,025
+    ([Poisson(1e-200)] * 4, True),  # and 1e400 here at generation 2
+    ([Poisson(1e300), Poisson(1e-200), Poisson(1e-200)], False),
+], ids=["subcritical-1100", "tiny-means", "in-range"])
+def test_identity_flags_certain_extinction_past_the_double_range(laws, tail_overflows):
+    # a partial mean product below the doubles has a reciprocal past them:
+    # the identity reports certain extinction instead of raising
+    ident = survival_identity(EnvPath.from_laws(laws))
+    assert ident.extinction_certain
+    assert ident.survival == 0.0 and math.isnan(ident.identity_residual)
+    assert (ident.mean_inverse_tail == math.inf) == tail_overflows
+    assert ident.shape_series == (math.inf if tail_overflows else pytest.approx(0.5 * (1 + 1e-300 + 1e-100)))
+
+
 def test_identity_detects_corrupted_shape(monkeypatch):
     """Dropping the mean-product term from the shape function must break
     the identity (mutation sensitivity of the central check)."""
@@ -319,7 +334,7 @@ def test_lf_kernel_matches_moebius_oracle_per_path(eps, rho, n_max, tol_q, some_
     the check stride, or n_max) where the oracle's stopping rule holds, and
     is flagged exactly when that rule still fails at n_max."""
     tol_mu = 1e-6
-    stride = _engines._CHECK_EVERY
+    stride = _engines._LF_CHECK_EVERY
     model = make_environment("linear_fractional", epsilon=eps, nu=rho * eps)
 
     def oracle(laws):
@@ -362,7 +377,7 @@ def test_lf_stop_matches_the_full_width_rule(monkeypatch, noise):
     total = 10.0 ** gen.uniform(0.0, 17.0, n)
     stops = []
 
-    def capture(n_lanes, n_max, advance, stop):
+    def capture(n_lanes, n_max, every, advance, stop):
         stops.append(stop)
         return total, None
 
@@ -411,11 +426,11 @@ def _lf_one_generation_per_draw(model, n_lanes, stream, tol_q, tol_mu, n_max):
         if not lane_major:
             m = model.sample_means(stream, size=idx.size)
         else:
-            if (n - 1) % _engines._CHECK_EVERY == 0:
+            if (n - 1) % _engines._LF_CHECK_EVERY == 0:
                 raw = bit_generator.random_raw(-(-idx.size // 8)).astype("<u8").view(np.uint8)
                 flips = np.unpackbits(raw, bitorder="little").reshape(-1, 8)[:idx.size]
-            m = support.take(flips[:, (n - 1) % _engines._CHECK_EVERY])
-        check = n % _engines._CHECK_EVERY == 0 or n == n_max
+            m = support.take(flips[:, (n - 1) % _engines._LF_CHECK_EVERY])
+        check = n % _engines._LF_CHECK_EVERY == 0 or n == n_max
         if check:
             prev_r = 1.0 / (1.0 + kappa * total)
         total += discount
